@@ -31,8 +31,11 @@ evicts the entry (``corrupt_evicted`` counter) and reports a miss —
 a damaged cache can cost time, never correctness.  Writes go through a
 temp file + :func:`os.replace`, so readers never observe a partial
 entry.  Invalidation is purely key-based: any input change moves the
-fingerprint, and :data:`FORMAT_VERSION` is folded into the key so
-layout changes orphan (rather than misread) old entries.
+fingerprint, :data:`FORMAT_VERSION` is folded into the key so layout
+changes orphan (rather than misread) old entries, and so is
+:func:`code_digest` — a digest of the sources whose semantics the cached
+trace and verdicts depend on — so an entry never outlives the code that
+produced it.
 
 Environment: ``REPRO_CACHE_DIR`` overrides the default ``.repro-cache``
 root; ``REPRO_GOLDEN_CACHE=0`` disables the cache entirely.  All
@@ -42,6 +45,7 @@ observability session is active.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -72,6 +76,7 @@ __all__ = [
     "GoldenRunCache",
     "cache_enabled",
     "cache_root",
+    "code_digest",
     "default_cache",
 ]
 
@@ -79,6 +84,7 @@ logger = logging.getLogger(__name__)
 
 MAGIC = "repro-golden-cache"
 FORMAT_VERSION = 1
+
 DEFAULT_CACHE_DIR = ".repro-cache"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_ENABLE = "REPRO_GOLDEN_CACHE"
@@ -92,6 +98,33 @@ _DIRECTIONS: Tuple[BusDirection, ...] = tuple(BusDirection)
 _DIRECTION_INDEX = {direction: index for index, direction in enumerate(_DIRECTIONS)}
 _STATES: Tuple[ControlState, ...] = tuple(ControlState)
 _STATE_INDEX = {state: index for index, state in enumerate(_STATES)}
+
+#: The sources (relative to the ``repro`` package) that decide what a
+#: golden run records and how a defect screens against it.
+SEMANTIC_SOURCES = (
+    "cpu",
+    "soc",
+    "xtalk/kernel.py",
+    "xtalk/screen.py",
+    "xtalk/calibration.py",
+    "core/engine.py",
+    "core/signature.py",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """SHA-256 over :data:`SEMANTIC_SOURCES`, computed once per process."""
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in SEMANTIC_SOURCES:
+        path = package / name
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(source.relative_to(package).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(source.read_bytes())
+    return digest.hexdigest()
+
 
 # Packed record layouts (little-endian, no padding).
 _TXN = struct.Struct("<IBBHHH")  # cycle, kind, direction, previous, driven, received
@@ -437,10 +470,13 @@ class GoldenRunCache:
 
         The interval changes the checkpoint series (an artifact, not an
         input), so it is part of the key rather than the fingerprint;
-        the format version is folded in so layout changes miss cleanly.
+        the format version and :func:`code_digest` are folded in so
+        layout and simulator-semantics changes miss cleanly.
         """
         token = "auto" if checkpoint_interval is None else str(int(checkpoint_interval))
-        payload = f"{MAGIC}:v{FORMAT_VERSION}:{fingerprint}:{token}"
+        payload = (
+            f"{MAGIC}:v{FORMAT_VERSION}:{code_digest()}:{fingerprint}:{token}"
+        )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _path(self, key: str) -> Path:

@@ -267,7 +267,6 @@ class CampaignSpec:
     bus: str = "addr"
     engine: str = "exact"
     checkpoint_interval: Optional[int] = None
-    screen_backend: str = "auto"
     label: str = "campaign"
     seed: Optional[int] = None
     core: str = "auto"
@@ -342,7 +341,6 @@ class CampaignSpec:
             self.calibration,
             self.bus,
             checkpoint_interval=self.checkpoint_interval,
-            screen_backend=self.screen_backend,
             core=self.core,
             capture=capture,
             verdicts=verdicts,

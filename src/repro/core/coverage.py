@@ -83,8 +83,8 @@ class DefectSimulator:
         and replays only defects that provably diverge, fast-forwarded
         from the last clean checkpoint (see :mod:`repro.core.engine`).
         Both produce identical :class:`DetectionOutcome` values.
-    checkpoint_interval / screen_backend:
-        Tuning knobs of the screened engine (ignored by ``"exact"``).
+    checkpoint_interval:
+        Tuning knob of the screened engine (ignored by ``"exact"``).
     core:
         CPU implementation (``"micro"`` / ``"fast"`` / ``"auto"``; see
         :func:`repro.cpu.microcode.resolve_core`).
@@ -98,7 +98,6 @@ class DefectSimulator:
         bus: str = "addr",
         engine: str = "exact",
         checkpoint_interval: Optional[int] = None,
-        screen_backend: str = "auto",
         core: str = "auto",
     ):
         if bus not in ("addr", "data"):
@@ -111,7 +110,6 @@ class DefectSimulator:
         self.bus = bus
         self.engine_name = engine
         self.checkpoint_interval = checkpoint_interval
-        self.screen_backend = screen_backend
         self.core = core
         self.engine: SimulationEngine = make_engine(
             engine,
@@ -120,7 +118,6 @@ class DefectSimulator:
             calibration,
             bus,
             checkpoint_interval=checkpoint_interval,
-            screen_backend=screen_backend,
             core=core,
         )
         self.golden: GoldenReference = self.engine.golden
@@ -137,7 +134,6 @@ class DefectSimulator:
             bus=self.bus,
             engine=self.engine_name,
             checkpoint_interval=self.checkpoint_interval,
-            screen_backend=self.screen_backend,
             label=label,
             core=self.core,
         )
@@ -236,7 +232,6 @@ def address_bus_line_coverage(
     builder: Optional[SelfTestProgramBuilder] = None,
     full_program: Optional[SelfTestProgram] = None,
     engine: str = "exact",
-    screen_backend: str = "auto",
     workers: int = 1,
     journal: Optional[Union[str, Path]] = None,
     resume: bool = False,
@@ -289,7 +284,6 @@ def address_bus_line_coverage(
                     defects=tuple(library),
                     bus="addr",
                     engine=engine,
-                    screen_backend=screen_backend,
                     label=f"line{victim + 1}",
                     core=core,
                 )
@@ -326,7 +320,6 @@ def address_bus_line_coverage(
                 defects=tuple(library),
                 bus="addr",
                 engine=engine,
-                screen_backend=screen_backend,
                 label="full",
                 core=core,
             )

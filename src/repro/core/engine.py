@@ -17,17 +17,19 @@ values; *how* a defect is judged is an engine concern:
     1. captures the golden run **once** with the full transaction trace
        of the bus under test and periodic :class:`SystemSnapshot`
        checkpoints,
-    2. screens the whole library against that trace in one (optionally
-       vectorized) pass,
+    2. screens the whole library against that trace in one pass over the
+       compiled decision tables (:mod:`repro.xtalk.kernel`),
     3. skips simulation entirely for defects whose trace is clean
        (provably undetected — outcome identical to fault-free),
     4. *dedups* the rest by replay behavior: every real replay records
-       the ``transition -> received`` decisions its run actually used;
-       a later defect whose kernel agrees with a recorded run on every
-       one of those transitions provably reproduces that run cycle for
-       cycle, so its outcome is reused without simulating (random
-       capacitance perturbations cluster heavily — thousands of
-       corrupting defects typically collapse to a few dozen behaviors),
+       the ``transition -> received`` decisions its run actually used,
+       kept as two key masks ("must corrupt", "must not corrupt"); a
+       later defect whose corrupting keys contain the first and miss the
+       second agrees with the recorded run on every one of those
+       transitions, so it provably reproduces that run cycle for cycle
+       and its outcome is reused without simulating (random capacitance
+       perturbations cluster heavily — thousands of corrupting defects
+       typically collapse to a few dozen behaviors),
     5. and replays the genuinely new behaviors from the last golden
        checkpoint before their first corrupted transaction — the replay
        only pays for the suffix.
@@ -50,7 +52,7 @@ so campaign reports can show how much work screening saved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import (
@@ -66,9 +68,14 @@ from repro.soc.system import CpuMemorySystem, SystemSnapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
 from repro.xtalk.error_model import CrosstalkErrorModel
-from repro.xtalk.kernel import TransitionKernel
+from repro.xtalk.kernel import (
+    CompiledDefect,
+    KeySpace,
+    compile_defect,
+    compile_library,
+)
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.screen import DecisionEvaluator, ScreenVerdict, TraceScreen
+from repro.xtalk.screen import ScreenVerdict, TraceScreen
 
 ENGINES = ("exact", "screened")
 
@@ -239,6 +246,12 @@ class ExactEngine(SimulationEngine):
         self.golden = golden
         self.last_model = None
 
+    def prepare(self, defects: Iterable[Defect]) -> None:
+        """Compile the library's decision tables in one batch."""
+        compile_library(
+            [defect.caps for defect in defects], self.params, self.calibration
+        )
+
     def check(self, defect: Defect) -> ResponseCheck:
         system = make_system(self.program, self._base_image, core=self.core)
         model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
@@ -259,37 +272,34 @@ CLEAN_CHECK = ResponseCheck(detected=False, timed_out=False, mismatches=0)
 #: producing new ones (defects beyond it are simply replayed).
 MAX_REPLAY_CLASSES = 32
 
-#: Total recorded decision entries in a group beyond which the
-#: agreement scan switches from the scalar kernel to the vectorized
-#: :class:`DecisionEvaluator` (timed-out replays record hundreds of
-#: transitions; below this the scalar scan with move-to-front wins).
-VECTOR_MATCH_MIN_ENTRIES = 64
-
-#: One deduplicated transition decision: ``(previous, driven, direction)
-#: -> received``.
-_Decision = Tuple[Tuple[int, int, BusDirection], int]
-
 
 class _ReplayClass:
     """One observed replay behavior and the outcome it produced.
 
-    ``decisions`` holds every distinct corruptible transition the
-    recorded run pushed through its corruption hook, with the word the
-    receiver sampled.  Any defect whose kernel reproduces all of these
-    decisions drives the deterministic system through the identical
-    cycle sequence, so it provably shares ``check``.  The record is
-    immutable; ``evaluator`` lazily caches the vectorized matcher for
-    large decision maps.
+    The recorded run pushed a set of distinct corruptible transitions
+    through its corruption hook.  ``seen`` masks every decision key those
+    transitions touch and ``must`` the keys of the wires it flipped, in
+    key space ``space``.  A defect whose corrupting keys satisfy
+    ``mask & seen == must`` reproduces every one of those decisions,
+    drives the deterministic system through the identical cycle
+    sequence, and so provably shares ``check``.
     """
 
-    __slots__ = ("decisions", "check", "evaluator")
+    __slots__ = ("space", "must", "seen", "check")
 
     def __init__(
-        self, decisions: Tuple[_Decision, ...], check: ResponseCheck
+        self, space: KeySpace, must: int, seen: int, check: ResponseCheck
     ):
-        self.decisions = decisions
+        self.space = space
+        self.must = must
+        self.seen = seen
         self.check = check
-        self.evaluator: Optional[DecisionEvaluator] = None
+
+    def agrees(self, compiled: CompiledDefect) -> bool:
+        return (
+            compiled.space is self.space
+            and compiled.mask & self.seen == self.must
+        )
 
 
 class ScreenedEngine(SimulationEngine):
@@ -300,9 +310,6 @@ class ScreenedEngine(SimulationEngine):
     checkpoint_interval:
         Golden checkpoint spacing in cycles (``None``: derived from the
         golden cycle count).
-    screen_backend:
-        Passed to :class:`~repro.xtalk.screen.TraceScreen` (``"auto"``,
-        ``"numpy"`` or ``"python"``).
     core:
         CPU implementation for the capture and every replay.
     capture / verdicts:
@@ -321,7 +328,6 @@ class ScreenedEngine(SimulationEngine):
         calibration: Calibration,
         bus: str,
         checkpoint_interval: Optional[int] = None,
-        screen_backend: str = "auto",
         core: str = "auto",
         capture: Optional[GoldenCapture] = None,
         verdicts: Optional[Dict[int, ScreenVerdict]] = None,
@@ -340,9 +346,7 @@ class ScreenedEngine(SimulationEngine):
         self.capture = capture
         self.golden = capture.golden
         self.checkpoints = capture.checkpoints
-        self.screen = TraceScreen(
-            capture.trace, params, calibration, backend=screen_backend
-        )
+        self.screen = TraceScreen(capture.trace, params, calibration)
         self._scratch = make_system(program, self._base_image, core=core)
         self._verdicts: Dict[int, ScreenVerdict] = dict(verdicts or {})
         #: Optional write-back hook: called with the cumulative verdict
@@ -353,23 +357,24 @@ class ScreenedEngine(SimulationEngine):
         # most-recently-matched first (defect libraries cluster, so the
         # scan almost always hits the front entry).
         self._replay_classes: Dict[int, List[_ReplayClass]] = {}
-        # Vectorized agreement checks only when the screen itself runs
-        # vectorized, so backend="python" stays a genuine pure-Python
-        # configuration.
-        self._vector_match = self.screen.backend == "numpy"
         self.last_model = None
 
     # -- screening ----------------------------------------------------------
 
     def prepare(self, defects: Iterable[Defect]) -> None:
-        """Screen the library in one (vectorized) pass.
+        """Compile the library's decision tables and screen it in one pass.
 
-        Defects with preloaded verdicts (from the cache) are skipped
-        and counted as ``coverage.engine.verdicts_preloaded``; when the
-        pass screened anything new, the cumulative verdict map is
-        offered to :attr:`screen_sink` for write-back.
+        Compilation is shared by every engine judging the same library
+        (see :func:`~repro.xtalk.kernel.compile_library`).  Defects with
+        preloaded verdicts (from the cache) skip the screen and are
+        counted as ``coverage.engine.verdicts_preloaded``; when the pass
+        screened anything new, the cumulative verdict map is offered to
+        :attr:`screen_sink` for write-back.
         """
         defects = list(defects)
+        compile_library(
+            [defect.caps for defect in defects], self.params, self.calibration
+        )
         missing = [
             defect for defect in defects if defect.index not in self._verdicts
         ]
@@ -409,45 +414,19 @@ class ScreenedEngine(SimulationEngine):
 
     # -- judging ------------------------------------------------------------
 
-    def _agrees(
-        self, known: _ReplayClass, defect: Defect, kernel: TransitionKernel
-    ) -> bool:
-        """Does ``defect`` reproduce every decision of ``known``'s run?
+    @staticmethod
+    def _matching_class(
+        classes: List[_ReplayClass], compiled: CompiledDefect
+    ) -> Optional[_ReplayClass]:
+        """The recorded behavior the defect reproduces, if any.
 
         Agreement must hold on *every* transition the recorded run
         pushed through its hook — including the ones it left intact —
         because a defect that additionally corrupts a later transition
-        of that run would diverge from it there.  Large decision maps
-        (timed-out replays record hundreds of transitions) go through
-        the vectorized :class:`DecisionEvaluator`; small maps and
-        borderline comparisons use the scalar kernel.
+        of that run would diverge from it there.
         """
-        if (
-            self._vector_match
-            and len(known.decisions) >= VECTOR_MATCH_MIN_ENTRIES
-        ):
-            if known.evaluator is None:
-                known.evaluator = DecisionEvaluator(
-                    known.decisions, self.params, self.calibration,
-                    width=defect.caps.wire_count,
-                )
-            agreement = known.evaluator.agreement(defect.caps)
-            if agreement is not None:
-                return bool(agreement.all())
-            # Borderline comparison: only the scalar kernel is exact.
-        decide = kernel.decide
-        return all(
-            decide(previous, driven, direction)[0] == received
-            for (previous, driven, direction), received in known.decisions
-        )
-
-    def _matching_class(
-        self, classes: List[_ReplayClass], defect: Defect,
-        kernel: TransitionKernel,
-    ) -> Optional[_ReplayClass]:
-        """The recorded behavior ``defect`` reproduces, if any."""
         for position, known in enumerate(classes):
-            if self._agrees(known, defect, kernel):
+            if known.agrees(compiled):
                 if position:  # move-to-front: clusters are heavily skewed
                     del classes[position]
                     classes.insert(0, known)
@@ -462,9 +441,9 @@ class ScreenedEngine(SimulationEngine):
             self.last_model = None
             registry.counter("coverage.engine.screened_clean").inc()
             return CLEAN_CHECK
-        kernel = TransitionKernel(defect.caps, self.params, self.calibration)
+        compiled = compile_defect(defect.caps, self.params, self.calibration)
         classes = self._replay_classes.setdefault(verdict.first_index, [])
-        known = self._matching_class(classes, defect, kernel)
+        known = self._matching_class(classes, compiled)
         if known is not None:
             # Provably identical to an already-simulated defective run.
             self.last_model = None
@@ -476,9 +455,7 @@ class ScreenedEngine(SimulationEngine):
             registry.counter("coverage.engine.checkpoint_resumed").inc()
         system = self._scratch
         system.restore(checkpoint.snapshot)
-        model = CrosstalkErrorModel(
-            defect.caps, self.params, self.calibration, kernel=kernel
-        )
+        model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
         corrupt = model.corrupt
         decisions: Dict[Tuple[int, int, BusDirection], int] = {}
 
@@ -499,9 +476,10 @@ class ScreenedEngine(SimulationEngine):
         self.last_model = model
         outcome = check_response(self.golden, system, result.halted)
         if len(classes) < MAX_REPLAY_CLASSES:
-            classes.append(
-                _ReplayClass(decisions=tuple(decisions.items()), check=outcome)
+            must, seen = compiled.space.agreement_masks(
+                list(decisions.items())
             )
+            classes.append(_ReplayClass(compiled.space, must, seen, outcome))
         return outcome
 
 
@@ -512,7 +490,6 @@ def make_engine(
     calibration: Calibration,
     bus: str,
     checkpoint_interval: Optional[int] = None,
-    screen_backend: str = "auto",
     core: str = "auto",
     capture: Optional[GoldenCapture] = None,
     verdicts: Optional[Dict[int, ScreenVerdict]] = None,
@@ -540,7 +517,6 @@ def make_engine(
         calibration,
         bus,
         checkpoint_interval=checkpoint_interval,
-        screen_backend=screen_backend,
         core=core,
         capture=capture,
         verdicts=verdicts,

@@ -113,7 +113,6 @@ def session_coverage(
     calibration: Calibration,
     bus: str = "addr",
     engine: str = "exact",
-    screen_backend: str = "auto",
     workers: int = 1,
 ) -> float:
     """Union defect coverage of every program in a session plan.
@@ -137,7 +136,6 @@ def session_coverage(
             defects=tuple(library),
             bus=bus,
             engine=engine,
-            screen_backend=screen_backend,
             label=f"session{session}",
         )
         detected |= run_campaign(spec, workers=workers).detected_set()

@@ -223,23 +223,32 @@ class CpuMemorySystem(BusPort):
         """
         return self._drive(obs_runtime.active(), max_cycles, "cpu.resumes")
 
+    def _clock(self, max_cycles: int) -> RunResult:
+        """Tick until halt or ``max_cycles``, the cycle count kept local."""
+        cpu = self.cpu
+        tick = cpu.tick
+        cycle = self.cycle
+        while not cpu.halted and cycle < max_cycles:
+            cycle += 1
+            self.cycle = cycle
+            tick()
+        return RunResult(
+            halted=cpu.halted,
+            cycles=self.cycle,
+            instructions=cpu.instruction_count,
+        )
+
     def _drive(
         self, obs: Optional[Observability], max_cycles: int, run_counter: str
     ) -> RunResult:
-        """Clock the CPU until halt or ``max_cycles``; shared by run/resume."""
-        cpu = self.cpu
+        """Clock the CPU until halt or ``max_cycles``; shared by run/resume.
+
+        Metrics mode clocks through the same tight loop as the
+        uninstrumented path: every metric is a before/after delta.
+        """
         if obs is None:
-            tick = cpu.tick
-            cycle = self.cycle
-            while not cpu.halted and cycle < max_cycles:
-                cycle += 1
-                self.cycle = cycle
-                tick()
-            return RunResult(
-                halted=cpu.halted,
-                cycles=self.cycle,
-                instructions=cpu.instruction_count,
-            )
+            return self._clock(max_cycles)
+        cpu = self.cpu
         cycles_before = self.cycle
         instructions_before = cpu.instruction_count
         before = [bus.stats() for bus in (self.address_bus, self.data_bus)]
@@ -248,14 +257,7 @@ class CpuMemorySystem(BusPort):
             while not cpu.halted and self.cycle < max_cycles:
                 self.cycle += 1
                 cpu.tick_counted(occupancy)
-        else:
-            while not cpu.halted and self.cycle < max_cycles:
-                self.step()
-        result = RunResult(
-            halted=cpu.halted,
-            cycles=self.cycle,
-            instructions=cpu.instruction_count,
-        )
+        result = self._clock(max_cycles)
         registry = obs.registry
         registry.counter(run_counter).inc()
         registry.counter("cpu.cycles").inc(self.cycle - cycles_before)

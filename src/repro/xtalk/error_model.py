@@ -16,14 +16,15 @@ self-test program passes through it — including instruction fetches.
 This is what lets the simulation capture fault masking and secondary
 corruption effects, as the paper's HDL environment does.
 
-The per-wire decision itself lives in the shared pure
-:class:`~repro.xtalk.kernel.TransitionKernel` (all thresholds are
-precomputed into the capacitance domain at construction time, keeping
-the per-transition cost low — the defect simulator calls this hook
-millions of times).  The model adds the stateful parts: native tallies
-and the hook signature.  :class:`~repro.xtalk.screen.TraceScreen` uses
-the same kernel to pre-screen whole defect libraries against a golden
-transaction trace without simulating anything.
+The per-wire decision itself is the one exact compiled decision of
+:mod:`repro.xtalk.kernel`: each capacitance set is compiled once into
+the set of (direction, wire, context) keys that corrupt, and
+:class:`~repro.xtalk.kernel.TransitionKernel` answers each transition
+with a few table lookups — the defect simulator calls this hook millions
+of times.  The model adds the stateful parts: native tallies and the
+hook signature.  :class:`~repro.xtalk.screen.TraceScreen` and the
+screened engine's replay dedup read the same compiled keys, so screen,
+dedup and replay cannot disagree.
 """
 
 from __future__ import annotations
@@ -53,9 +54,7 @@ class CrosstalkErrorModel:
         perturbed bus is judged against the design's margins, not its own.
     kernel:
         Optional prebuilt :class:`TransitionKernel` for the same
-        ``(caps, params, calibration)`` triple; avoids re-deriving the
-        thresholds when the caller (e.g. the screened engine) already
-        built one.
+        ``(caps, params, calibration)`` triple.
     """
 
     def __init__(
@@ -125,9 +124,9 @@ class CrosstalkErrorModel:
     ) -> List[WireError]:
         """Describe every wire error the transition would produce.
 
-        Shares the Miller-weighting logic with :meth:`corrupt` through
-        the kernel, so a :class:`WireError` is reported for a wire
-        exactly when :meth:`corrupt` flips it.
+        Evaluates the kernel's one Miller-weighting function with
+        scalars; a :class:`WireError` is reported for a wire exactly
+        when :meth:`corrupt` flips it.
         """
         return self.kernel.explain(previous, driven, direction)
 

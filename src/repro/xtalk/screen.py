@@ -15,228 +15,28 @@ whose transition the defect's kernel corrupts.  Therefore:
 
 A :class:`TraceScreen` evaluates a whole
 :class:`~repro.xtalk.defects.DefectLibrary` against one captured trace
-in a single pass and returns, per defect, the index/cycle of its first
-corrupted transaction or a ``clean`` verdict.
-
-Two backends:
-
-``"numpy"``
-    Vectorized: unique transitions are reduced to aggressor weight
-    vectors once; per-defect thresholds (which only depend on each
-    defect's capacitance matrix) are computed in bulk; one batched
-    matrix product classifies every ``(defect, transition)`` pair.
-    Comparisons use a small conservative epsilon band: a borderline
-    margin is treated as *corrupting*, so a float summation-order
-    difference against the scalar kernel can only cause a redundant
-    replay, never a missed one.  Verdicts therefore stay safe for the
-    screened engine's exactness contract.
-
-``"python"``
-    Pure-Python fallback: one shared-:class:`TransitionKernel` scan per
-    defect over the deduplicated transitions, in first-occurrence order
-    with early exit.  Bit-identical to the error model by construction.
-
-``"auto"`` picks numpy when it is importable, else the fallback.
+and returns, per defect, the index/cycle of its first corrupted
+transaction or a ``clean`` verdict.  It uses the compiled decision of
+:mod:`repro.xtalk.kernel`: a transition corrupts a defect iff one of its
+per-wire keys is among the defect's corrupting keys.  So the screen maps
+every key to the earliest trace position whose transition touches it,
+and a defect's first corruption is the minimum of that map over its
+corrupting keys — exact integer work, one small ``[defects, keys]``
+array per library.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.soc.bus import BusDirection
 from repro.xtalk.calibration import Calibration
-from repro.xtalk.capacitance import CapacitanceSet
 from repro.xtalk.defects import Defect
-from repro.xtalk.kernel import TransitionKernel
-from repro.xtalk.params import LN2, ElectricalParams
-
-try:  # numpy is an install dependency, but the screen must not require it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
-    _np = None
-
-BACKENDS = ("auto", "numpy", "python")
-
-#: Relative half-width of the borderline band around every threshold
-#: comparison in the vectorized backend.  float64 dot products over a
-#: dozen terms are accurate to ~1e-15 relative, so 1e-9 is a generous
-#: safety margin while keeping spurious replays to (essentially) zero.
-EPSILON = 1e-9
-
-
-def have_numpy() -> bool:
-    """True when the vectorized paths of this module are available."""
-    return _np is not None
-
-
-#: ``CapacitanceSet -> (coupling [n, n], ground [n])`` float64 arrays.
-#: Campaigns evaluate the same defect library against many programs, so
-#: the list-of-lists -> ndarray conversion is paid once per defect, not
-#: once per (defect, program).  Weak keys: entries die with their set.
-_DEFECT_ARRAY_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _defect_arrays(caps: CapacitanceSet):
-    cached = _DEFECT_ARRAY_CACHE.get(caps)
-    if cached is None:
-        cached = (
-            _np.array(caps.coupling, dtype=_np.float64),
-            _np.array(caps.ground, dtype=_np.float64),
-        )
-        _DEFECT_ARRAY_CACHE[caps] = cached
-    return cached
-
-
-def _margin_caps(params: ElectricalParams, calibration: Calibration):
-    """Per-direction delay margins in the capacitance domain, ``[2]``
-    (ordered CPU_TO_MEM, MEM_TO_CPU), plus the glitch scale factor."""
-    margin_cap = _np.array(
-        [
-            calibration.margin_for(direction)
-            / (LN2 * params.r_for(direction) * 1e-15)
-            for direction in (
-                BusDirection.CPU_TO_MEM,
-                BusDirection.MEM_TO_CPU,
-            )
-        ]
-    )
-    scale = params.glitch_attenuation * params.vdd
-    return margin_cap, scale
-
-
-class _TransitionFeatures:
-    """Per-transition aggressor geometry shared by the vectorized paths.
-
-    For a list of transitions, precomputes the bit masks and Miller
-    aggressor-weight matrices that :meth:`TransitionKernel.decide`
-    derives per call: quiet aggressors weigh 1x, opposite-direction
-    aggressors 2x, same-direction aggressors 0x, and stable victims see
-    the signed injected charge of their switching neighbours.
-    """
-
-    __slots__ = (
-        "bits",
-        "switching_mask",
-        "up_mask",
-        "high_mask",
-        "weights_rising",
-        "weights_falling",
-        "signed",
-    )
-
-    def __init__(self, previous, driven, width: int):
-        np = _np
-        bits = (1 << np.arange(width, dtype=np.int64))[None, :]
-        changed = ((previous ^ driven)[:, None] & bits) != 0  # [T, n]
-        high = (driven[:, None] & bits) != 0  # [T, n]
-        switching = changed.astype(np.float64)
-        stable = 1.0 - switching
-        up = (changed & high).astype(np.float64)
-        down = switching - up
-        self.bits = bits
-        self.switching_mask = changed
-        self.up_mask = changed & high  # victims switching 0 -> 1
-        self.high_mask = high
-        self.weights_rising = stable + 2.0 * down
-        self.weights_falling = stable + 2.0 * up
-        self.signed = up - down  # injected-charge sign for stable victims
-
-
-def _direction_indices(directions: Sequence[BusDirection]):
-    return _np.array(
-        [0 if d is BusDirection.CPU_TO_MEM else 1 for d in directions],
-        dtype=_np.int64,
-    )
-
-
-class DecisionEvaluator:
-    """Vectorized re-evaluation of recorded corruption decisions.
-
-    Built by the screened engine's replay-dedup tier from the decisions
-    one recorded replay pushed through its corruption hook:
-    ``decisions`` is a sequence of ``((previous, driven, direction),
-    received)`` entries (several runs' records may be concatenated — the
-    caller keeps track of the slices).  :meth:`agreement` answers, for
-    one capacitance set, on which entries the scalar
-    :meth:`~repro.xtalk.kernel.TransitionKernel.decide` would sample the
-    same received word — in a handful of matrix products instead of a
-    Python loop per wire.
-
-    Exactness: comparisons use the same conservative :data:`EPSILON`
-    band as the library screen, but here a borderline entry cannot be
-    resolved safely in either direction (agreement feeds outcome
-    *reuse*, where both false positives and false negatives would be
-    wrong), so :meth:`agreement` returns ``None`` and the caller falls
-    back to the scalar kernel.
-    """
-
-    def __init__(
-        self,
-        decisions: Sequence[Tuple[Tuple[int, int, BusDirection], int]],
-        params: ElectricalParams,
-        calibration: Calibration,
-        width: int,
-    ):
-        if _np is None:
-            raise RuntimeError("DecisionEvaluator requires numpy")
-        np = _np
-        self.calibration = calibration
-        transitions = [t for t, _ in decisions]
-        self._previous = np.array([t[0] for t in transitions], dtype=np.int64)
-        self._driven = np.array([t[1] for t in transitions], dtype=np.int64)
-        self._direction_index = _direction_indices([t[2] for t in transitions])
-        self._expected = np.array([r for _, r in decisions], dtype=np.int64)
-        self._features = _TransitionFeatures(
-            self._previous, self._driven, width
-        )
-        self._margin_cap, self._scale = _margin_caps(params, calibration)
-
-    def __len__(self) -> int:
-        return int(self._expected.shape[0])
-
-    def agreement(self, caps: CapacitanceSet):
-        """Per-entry agreement with the recorded received words.
-
-        Returns a boolean array (one entry per decision), or ``None``
-        when any comparison fell inside the borderline band and the
-        scalar kernel must decide instead.
-        """
-        np = _np
-        f = self._features
-        coupling, ground = _defect_arrays(caps)
-        glitch_threshold = (
-            self.calibration.v_th * (ground + coupling.sum(axis=1))
-            / self._scale
-        )  # [n]
-        slack = self._margin_cap[:, None] - ground[None, :]  # [2, n]
-
-        # coupling is symmetric, so W @ coupling sums over neighbours j
-        # of victim i exactly as the kernel's inner loop does.
-        load_rising = f.weights_rising @ coupling  # [T, n]
-        load_falling = f.weights_falling @ coupling
-        injected = f.signed @ coupling
-
-        load = np.where(f.up_mask, load_rising, load_falling)
-        slack_t = slack[self._direction_index, :]  # [T, n]
-        delay_margin = load - slack_t
-        eps_delay = EPSILON * (np.abs(slack_t) + 1.0)
-
-        polarity = np.where(f.high_mask, -injected, injected)
-        glitch_margin = polarity - glitch_threshold[None, :]
-        eps_glitch = EPSILON * (np.abs(glitch_threshold)[None, :] + 1.0)
-
-        uncertain = (
-            (f.switching_mask & (np.abs(delay_margin) <= eps_delay))
-            | (~f.switching_mask & (np.abs(glitch_margin) <= eps_glitch))
-        )
-        if uncertain.any():
-            return None
-        delay_hit = f.switching_mask & (delay_margin > eps_delay)
-        glitch_hit = ~f.switching_mask & (glitch_margin > eps_glitch)
-        flips = np.where(delay_hit | glitch_hit, f.bits, 0).sum(axis=1)
-        return (self._driven ^ flips) == self._expected
+from repro.xtalk.kernel import DIRECTIONS, KeySpace, compile_library
+from repro.xtalk.params import ElectricalParams
 
 
 @dataclass(frozen=True)
@@ -268,8 +68,6 @@ class TraceScreen:
     params / calibration:
         Electrical parameters and nominal-bus thresholds, shared with
         the error model so screen and replay agree.
-    backend:
-        ``"auto"`` (default), ``"numpy"`` or ``"python"``.
     """
 
     def __init__(
@@ -277,28 +75,16 @@ class TraceScreen:
         trace: Sequence[object],
         params: ElectricalParams,
         calibration: Calibration,
-        backend: str = "auto",
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if backend == "numpy" and _np is None:
-            raise RuntimeError("numpy backend requested but numpy is missing")
-        if backend == "auto":
-            backend = "numpy" if _np is not None else "python"
-        self.backend = backend
         self.params = params
         self.calibration = calibration
         self.trace_length = len(trace)
-        # Deduplicate: identical transitions corrupt identically, so the
-        # kernel only ever needs to judge each unique (previous, driven,
-        # direction) triple once.  first_occurrence maps each unique
-        # transition to its earliest trace position; the first corrupted
-        # transaction of a defect is then the minimum first occurrence
-        # over its corrupted uniques.
+        # Deduplicate: identical transitions corrupt identically, so each
+        # unique (previous, driven, direction) triple is keyed once, at
+        # its earliest trace position.
         uniques: List[Tuple[int, int, BusDirection]] = []
         first_occurrence: List[int] = []
-        cycles: List[int] = []
-        seen = {}
+        seen = set()
         for index, transaction in enumerate(trace):
             previous = transaction.previous
             driven = transaction.driven
@@ -307,18 +93,15 @@ class TraceScreen:
             key = (previous, driven, transaction.direction)
             if key in seen:
                 continue
-            seen[key] = len(uniques)
+            seen.add(key)
             uniques.append(key)
             first_occurrence.append(index)
-            cycles.append(transaction.cycle)
-        # Sorted by construction (first encounters are in trace order).
         self._uniques = uniques
-        self._first_occurrence = first_occurrence
-        self._cycles = cycles
-        self._position_of = {
-            index: position for position, index in enumerate(first_occurrence)
+        self._first_occurrence = np.array(first_occurrence, dtype=np.int64)
+        self._cycle_at = {
+            index: trace[index].cycle for index in first_occurrence
         }
-        self._numpy_state = None
+        self._first_by_key: Dict[KeySpace, np.ndarray] = {}
 
     @property
     def unique_transitions(self) -> int:
@@ -328,118 +111,56 @@ class TraceScreen:
     # -- public API ---------------------------------------------------------
 
     def screen(self, defects: Iterable[Defect]) -> List[ScreenVerdict]:
-        """Evaluate every defect; one pass over the deduplicated trace."""
+        """Evaluate every defect against the deduplicated trace."""
         defects = list(defects)
-        if self.backend == "numpy":
-            return self._screen_numpy(defects)
-        return [self._screen_python(defect) for defect in defects]
+        compiled = compile_library(
+            [defect.caps for defect in defects], self.params, self.calibration
+        )
+        groups: Dict[KeySpace, List[int]] = {}
+        for position, entry in enumerate(compiled):
+            groups.setdefault(entry.space, []).append(position)
+        first = [self.trace_length] * len(defects)
+        for space, positions in groups.items():
+            corrupting = np.stack([compiled[p].corrupting for p in positions])
+            earliest = np.where(
+                corrupting, self._earliest_by_key(space), self.trace_length
+            ).min(axis=1)
+            for position, index in zip(positions, earliest.tolist()):
+                first[position] = index
+        return [
+            ScreenVerdict(defect_index=defect.index, clean=True)
+            if index >= self.trace_length
+            else ScreenVerdict(
+                defect_index=defect.index,
+                clean=False,
+                first_index=index,
+                first_cycle=self._cycle_at[index],
+            )
+            for defect, index in zip(defects, first)
+        ]
 
     def screen_one(self, defect: Defect) -> ScreenVerdict:
-        """Evaluate a single defect (scalar path regardless of backend)."""
-        return self._screen_python(defect)
+        """Evaluate a single defect."""
+        return self.screen([defect])[0]
 
-    # -- pure-Python backend ------------------------------------------------
-
-    def _screen_python(
-        self, defect: Defect, kernel: Optional[TransitionKernel] = None
-    ) -> ScreenVerdict:
-        kernel = kernel or TransitionKernel(
-            defect.caps, self.params, self.calibration
-        )
-        corrupts = kernel.corrupts
-        for position, (previous, driven, direction) in enumerate(self._uniques):
-            if corrupts(previous, driven, direction):
-                return ScreenVerdict(
-                    defect_index=defect.index,
-                    clean=False,
-                    first_index=self._first_occurrence[position],
-                    first_cycle=self._cycles[position],
+    def _earliest_by_key(self, space: KeySpace) -> np.ndarray:
+        """Earliest trace position touching each key (trace length if none)."""
+        earliest = self._first_by_key.get(space)
+        if earliest is None:
+            earliest = np.full(space.key_count, self.trace_length, np.int64)
+            if self._uniques:
+                keys = space.keys(
+                    np.array([u[0] for u in self._uniques], dtype=np.int64),
+                    np.array([u[1] for u in self._uniques], dtype=np.int64),
+                    np.array(
+                        [DIRECTIONS.index(u[2]) for u in self._uniques],
+                        dtype=np.int64,
+                    ),
                 )
-        return ScreenVerdict(defect_index=defect.index, clean=True)
-
-    # -- vectorized backend -------------------------------------------------
-
-    def _prepare_numpy(self, width: int):
-        """Per-transition arrays, built once per screen instance."""
-        np = _np
-        previous = np.array([u[0] for u in self._uniques], dtype=np.int64)
-        driven = np.array([u[1] for u in self._uniques], dtype=np.int64)
-        direction_index = _direction_indices([u[2] for u in self._uniques])
-        features = _TransitionFeatures(previous, driven, width)
-        margin_cap, scale = _margin_caps(self.params, self.calibration)
-        return direction_index, features, margin_cap, scale
-
-    def _screen_numpy(self, defects: List[Defect]) -> List[ScreenVerdict]:
-        np = _np
-        if not defects:
-            return []
-        if not self._uniques:
-            return [
-                ScreenVerdict(defect_index=d.index, clean=True) for d in defects
-            ]
-        count = len(self._uniques)
-        width = defects[0].caps.wire_count
-        if self._numpy_state is None:
-            self._numpy_state = self._prepare_numpy(width)
-        direction_index, f, margin_cap, scale = self._numpy_state
-        calibration = self.calibration
-
-        first_occurrence = np.array(self._first_occurrence, dtype=np.int64)
-        sentinel = self.trace_length  # larger than any real index
-
-        # Chunk over defects to bound the [chunk, U, n] temporaries.
-        chunk = max(1, int(8_000_000 // max(1, count * width)))
-        verdicts: List[ScreenVerdict] = []
-        for start in range(0, len(defects), chunk):
-            batch = defects[start:start + chunk]
-            arrays = [_defect_arrays(d.caps) for d in batch]
-            coupling = np.stack([a[0] for a in arrays])  # [D, n, n]
-            ground = np.stack([a[1] for a in arrays])  # [D, n]
-            net = coupling.sum(axis=2)  # [D, n]
-            glitch_threshold = (
-                calibration.v_th * (ground + net) / scale
-            )  # [D, n]
-            slack = margin_cap[None, :, None] - ground[:, None, :]  # [D, 2, n]
-
-            load_rising = np.einsum(
-                "dij,uj->dui", coupling, f.weights_rising
-            )  # [D, U, n]
-            load_falling = np.einsum(
-                "dij,uj->dui", coupling, f.weights_falling
-            )
-            injected = np.einsum("dij,uj->dui", coupling, f.signed)
-
-            load = np.where(f.up_mask[None, :, :], load_rising, load_falling)
-            slack_by_direction = slack[:, direction_index, :]  # [D, U, n]
-            eps_delay = EPSILON * (np.abs(slack_by_direction) + 1.0)
-            delay_hit = f.switching_mask[None, :, :] & (
-                load - slack_by_direction > -eps_delay
-            )
-
-            polarity = np.where(f.high_mask[None, :, :], -injected, injected)
-            threshold = glitch_threshold[:, None, :]
-            eps_glitch = EPSILON * (np.abs(threshold) + 1.0)
-            glitch_hit = (~f.switching_mask)[None, :, :] & (
-                polarity - threshold > -eps_glitch
-            )
-
-            corrupted = (delay_hit | glitch_hit).any(axis=2)  # [D, U]
-            first = np.where(
-                corrupted, first_occurrence[None, :], sentinel
-            ).min(axis=1)
-            for defect, first_index in zip(batch, first.tolist()):
-                if first_index >= sentinel:
-                    verdicts.append(
-                        ScreenVerdict(defect_index=defect.index, clean=True)
-                    )
-                else:
-                    position = self._position_of[first_index]
-                    verdicts.append(
-                        ScreenVerdict(
-                            defect_index=defect.index,
-                            clean=False,
-                            first_index=first_index,
-                            first_cycle=self._cycles[position],
-                        )
-                    )
-        return verdicts
+                np.minimum.at(
+                    earliest,
+                    keys.ravel(),
+                    np.repeat(self._first_occurrence, space.width),
+                )
+            self._first_by_key[space] = earliest
+        return earliest

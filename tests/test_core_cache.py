@@ -83,6 +83,21 @@ def test_load_miss_and_interval_keying(small_spec):
     assert store.key_for(fingerprint) != store.key_for(fingerprint, 17)
 
 
+def test_entry_misses_under_other_code_digest(small_spec, monkeypatch):
+    """An entry written by one version of the simulator's sources must
+    never serve another: verdicts depend on the code that screened them."""
+    capture = capture_golden_with_trace(small_spec.program, "addr")
+    store = golden_cache.default_cache()
+    fingerprint = small_spec.fingerprint()
+    store.store(fingerprint, None, "addr", capture,
+                {0: ScreenVerdict(defect_index=0, clean=True)})
+    assert store.load(fingerprint) is not None
+    monkeypatch.setattr(golden_cache, "code_digest", lambda: "0" * 64)
+    assert store.load(fingerprint) is None
+    monkeypatch.undo()
+    assert store.load(fingerprint) is not None
+
+
 def test_corrupt_entry_is_evicted(small_spec):
     capture = capture_golden_with_trace(small_spec.program, "addr")
     store = golden_cache.default_cache()

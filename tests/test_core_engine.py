@@ -49,15 +49,9 @@ def outcomes(program, setup, bus, **kwargs):
     return simulator.run_library(setup.library)
 
 
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_screened_equals_exact_on_address_bus(
-    addr_program, addr_setup, backend
-):
+def test_screened_equals_exact_on_address_bus(addr_program, addr_setup):
     exact = outcomes(addr_program, addr_setup, "addr")
-    screened = outcomes(
-        addr_program, addr_setup, "addr",
-        engine="screened", screen_backend=backend,
-    )
+    screened = outcomes(addr_program, addr_setup, "addr", engine="screened")
     assert screened == exact
 
 
@@ -221,20 +215,11 @@ def test_replay_dedup_collapses_defect_classes(builder, addr_setup):
     assert recorded == replayed
 
 
-def test_vectorized_class_matching_equals_exact(
-    builder, addr_setup, monkeypatch
-):
-    """Force DecisionEvaluator matching on every class; outcomes unchanged."""
-    pytest.importorskip("numpy")
-    from repro.core import engine as engine_module
-
-    monkeypatch.setattr(engine_module, "VECTOR_MATCH_MIN_ENTRIES", 1)
+def test_vectorized_class_matching_equals_exact(builder, addr_setup):
+    """Key-mask class matching on a two-victim program; outcomes unchanged."""
     faults = [f for f in builder.address_faults() if f.victim in (0, 7)]
     program = builder.build_address_bus_program(faults)
-    screened = outcomes(
-        program, addr_setup, "addr",
-        engine="screened", screen_backend="numpy",
-    )
+    screened = outcomes(program, addr_setup, "addr", engine="screened")
     assert screened == outcomes(program, addr_setup, "addr")
 
 

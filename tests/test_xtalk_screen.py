@@ -1,4 +1,4 @@
-"""TraceScreen: backend agreement, first-corruption exactness, dedup."""
+"""TraceScreen: first-corruption exactness, dedup, key-mask agreement."""
 
 from dataclasses import dataclass
 
@@ -11,9 +11,8 @@ from repro.xtalk.defects import Defect, generate_defect_library
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.kernel import TransitionKernel
-from repro.xtalk.screen import DecisionEvaluator, TraceScreen, have_numpy
-from repro.xtalk import screen as screen_module
+from repro.xtalk.kernel import TransitionKernel, compile_defect
+from repro.xtalk.screen import TraceScreen
 
 WIDTH = 8
 ONES = (1 << WIDTH) - 1
@@ -67,22 +66,9 @@ def naive_first_corruption(trace, defect, params, calibration):
     return None
 
 
-def test_backends_agree(setup, trace):
+def test_first_corruption_matches_error_model(setup, trace):
     _, params, calibration, library = setup
-    pytest.importorskip("numpy")
-    v_np = TraceScreen(trace, params, calibration, backend="numpy").screen(
-        library.defects
-    )
-    v_py = TraceScreen(trace, params, calibration, backend="python").screen(
-        library.defects
-    )
-    assert v_np == v_py
-
-
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_first_corruption_matches_error_model(setup, trace, backend):
-    _, params, calibration, library = setup
-    screen = TraceScreen(trace, params, calibration, backend=backend)
+    screen = TraceScreen(trace, params, calibration)
     for defect, verdict in zip(library, screen.screen(library.defects)):
         expected = naive_first_corruption(trace, defect, params, calibration)
         assert verdict.defect_index == defect.index
@@ -132,12 +118,6 @@ def test_empty_trace_is_all_clean(setup):
     assert all(v.clean for v in screen.screen(library.defects))
 
 
-def test_bad_backend_rejected(setup):
-    _, params, calibration, _ = setup
-    with pytest.raises(ValueError):
-        TraceScreen([], params, calibration, backend="cuda")
-
-
 def recorded_decisions(trace, defect, params, calibration):
     """What a recorded replay would store: transition -> received word."""
     kernel = TransitionKernel(defect.caps, params, calibration)
@@ -150,49 +130,25 @@ def recorded_decisions(trace, defect, params, calibration):
     return tuple(decisions.items())
 
 
-def test_decision_evaluator_matches_scalar_kernel(setup, trace):
-    """agreement() must reproduce per-entry scalar kernel comparisons."""
-    pytest.importorskip("numpy")
-    assert have_numpy()
+def test_key_mask_agreement_matches_decide(setup, trace):
+    """``mask & seen == must`` iff ``decide`` reproduces every recorded
+    decision — the replay-dedup agreement test, for every pair of
+    (recording, candidate) defects in the library."""
     _, params, calibration, library = setup
-    recorder = library.defects[0]
-    decisions = recorded_decisions(trace, recorder, params, calibration)
-    assert decisions, "trace must produce recordable transitions"
-    evaluator = DecisionEvaluator(decisions, params, calibration, WIDTH)
-    assert len(evaluator) == len(decisions)
-    for defect in library:
-        kernel = TransitionKernel(defect.caps, params, calibration)
-        scalar = [
-            kernel.decide(prev, driven, direction)[0] == received
-            for (prev, driven, direction), received in decisions
-        ]
-        agreement = evaluator.agreement(defect.caps)
-        if agreement is None:
-            continue  # borderline band: the engine falls back to scalar
-        assert list(agreement) == scalar
-    # The recording defect must agree with its own recorded decisions.
-    self_agreement = evaluator.agreement(recorder.caps)
-    assert self_agreement is None or bool(self_agreement.all())
-
-
-def test_decision_evaluator_requires_numpy(setup, trace, monkeypatch):
-    _, params, calibration, library = setup
-    decisions = recorded_decisions(
-        trace, library.defects[0], params, calibration
-    )
-    monkeypatch.setattr(screen_module, "_np", None)
-    assert not have_numpy()
-    with pytest.raises(RuntimeError):
-        DecisionEvaluator(decisions, params, calibration, WIDTH)
-
-
-def test_python_fallback_when_numpy_missing(setup, trace, monkeypatch):
-    _, params, calibration, library = setup
-    monkeypatch.setattr(screen_module, "_np", None)
-    screen = TraceScreen(trace, params, calibration, backend="auto")
-    assert screen.backend == "python"
-    with pytest.raises(RuntimeError):
-        TraceScreen(trace, params, calibration, backend="numpy")
-    assert screen.screen(library.defects[:5]) == [
-        screen.screen_one(d) for d in library.defects[:5]
-    ]
+    defects = library.defects[:20]
+    compiled = [compile_defect(d.caps, params, calibration) for d in defects]
+    kernels = [TransitionKernel(d.caps, params, calibration) for d in defects]
+    agreements = 0
+    for recorder, entry in zip(defects, compiled):
+        decisions = recorded_decisions(trace, recorder, params, calibration)
+        assert decisions, "trace must produce recordable transitions"
+        must, seen = entry.space.agreement_masks(decisions)
+        for candidate, kernel in zip(compiled, kernels):
+            assert candidate.space is entry.space
+            reproduces = all(
+                kernel.decide(previous, driven, direction)[0] == received
+                for (previous, driven, direction), received in decisions
+            )
+            assert (candidate.mask & seen == must) == reproduces
+            agreements += reproduces
+    assert agreements > len(defects), "expected some cross-defect agreement"
