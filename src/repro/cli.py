@@ -164,6 +164,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for name in ("hits", "misses", "stores", "corrupt_evicted")
     }
     golden_cycles = _counter_value(metrics, "coverage.engine.golden_cycles")
+    hang_proven = _counter_value(metrics, "coverage.engine.hang_proven")
+    hang_cycles_saved = _counter_value(
+        metrics, "coverage.engine.hang_cycles_saved"
+    )
     total = len(result.outcomes)
     detected = result.detected
     if args.json:
@@ -182,6 +186,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "resumed": result.resumed,
                 "golden_cache": cache_stats,
                 "golden_cycles": golden_cycles,
+                "hang_proven": hang_proven,
+                "hang_cycles_saved": hang_cycles_saved,
             },
             sys.stdout,
             sort_keys=True,
@@ -196,6 +202,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("resumed from journal", str(result.resumed)),
         ("detected", f"{detected} ({100 * detected / total:.1f}%)"),
         ("of which hung the CPU", str(result.timeouts)),
+        ("hangs proven by a repeated state", str(hang_proven)),
+        ("budget cycles the proofs skipped", str(hang_cycles_saved)),
         ("golden cycles simulated", str(golden_cycles)),
         ("golden cache hits/misses",
          f"{cache_stats['hits']} / {cache_stats['misses']}"),

@@ -53,6 +53,7 @@ import json
 import logging
 import os
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,9 +82,10 @@ from repro.core.program_builder import SelfTestProgram
 from repro.core.signature import ResponseCheck
 from repro.cpu.microcode import resolve_core
 from repro.obs import runtime as obs_runtime
-from repro.obs.metrics import merge_snapshot
+from repro.obs.metrics import Counter, MetricsRegistry, merge_snapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
+from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.screen import ScreenVerdict
 
@@ -111,6 +113,32 @@ class DetectionOutcome:
 # ---------------------------------------------------------------------------
 # Per-defect execution (the instrumented judgment shared by every backend)
 # ---------------------------------------------------------------------------
+
+
+class _DefectTally:
+    """One registry's per-defect metrics, resolved once per registry.
+
+    The error-model counters are resolved with the first defect that
+    ran a model, so a report lists the same metrics as when each was
+    looked up by name per defect.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.replay = registry.timer("coverage.defect.replay")
+        self.simulated = registry.counter("coverage.defects.simulated")
+        self.model: Optional[Tuple[Counter, ...]] = None
+
+    def add_model(self, model: CrosstalkErrorModel) -> None:
+        stats = model.stats()
+        counters = self.model
+        if counters is None:
+            counters = self.model = tuple(
+                self.registry.counter(f"xtalk.model.{suffix}")
+                for suffix in stats
+            )
+        for counter, value in zip(counters, stats.values()):
+            counter.inc(value)
 
 
 def execute_defect(
@@ -141,17 +169,15 @@ def execute_defect(
     else:
         check = engine.check(defect)
     registry = obs.registry
-    registry.timer("coverage.defect.replay").observe(
-        time.perf_counter_ns() - start
-    )
-    registry.counter("coverage.defects.simulated").inc()
+    tally = registry.bound(_DefectTally)
+    tally.replay.observe(time.perf_counter_ns() - start)
+    tally.simulated.inc()
     if check.detected:
         registry.counter("coverage.defects.detected").inc()
     if check.timed_out:
         registry.counter("coverage.defects.timeouts").inc()
     if engine.last_model is not None:
-        for suffix, value in engine.last_model.stats().items():
-            registry.counter(f"xtalk.model.{suffix}").inc(value)
+        tally.add_model(engine.last_model)
     return DetectionOutcome(
         defect_index=defect.index,
         detected=check.detected,
@@ -209,6 +235,49 @@ def run_defects(
 # ---------------------------------------------------------------------------
 
 
+#: Libraries whose digest prefix :func:`config_digest` keeps hashed.
+DIGEST_PREFIX_CACHE_SIZE = 4
+_digest_prefixes: List[Tuple[str, List["weakref.ref[Defect]"], "hashlib._Hash"]] = []
+
+
+def _canonical(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _library_prefix(calibration: str, defects: Sequence[Defect]):
+    """A sha256 state that has absorbed the calibration and the defects.
+
+    A campaign hashes its defect library once per program; the prefix
+    is the expensive part, so the last few are kept.  An entry matches
+    only the very same :class:`Defect` objects in the same order:
+    equality would let ``0.0`` stand in for ``-0.0``, which serialises
+    differently.  The entries hold the defects weakly, so a dropped
+    library is neither kept alive nor matched.
+    """
+    for key, known, state in _digest_prefixes:
+        if (
+            key == calibration
+            and len(known) == len(defects)
+            and all(ref() is defect for ref, defect in zip(known, defects))
+        ):
+            return state
+    state = hashlib.sha256(
+        (
+            '{"calibration":' + calibration + ',"defects":'
+            + _canonical([
+                [defect.index, defect.caps.ground, defect.caps.coupling]
+                for defect in defects
+            ])
+            + ","
+        ).encode("utf-8")
+    )
+    _digest_prefixes.insert(
+        0, (calibration, [weakref.ref(defect) for defect in defects], state)
+    )
+    del _digest_prefixes[DIGEST_PREFIX_CACHE_SIZE:]
+    return state
+
+
 def config_digest(
     params: ElectricalParams,
     calibration: Calibration,
@@ -217,18 +286,17 @@ def config_digest(
 ) -> str:
     """SHA-256 over a canonical JSON form of one campaign configuration.
 
-    Engine selection and tuning knobs are deliberately *excluded*:
-    engines are outcome-identical, so a journal written with the exact
-    engine may be resumed with the screened one (and vice versa).
+    The JSON object has the sorted keys ``calibration``, ``defects``,
+    ``extra`` and ``params``; the digest of its first two members is
+    shared by every program judged against one library (see
+    :func:`_library_prefix`), so only the short suffix is hashed per
+    spec.  Engine selection and tuning knobs are deliberately
+    *excluded*: engines are outcome-identical, so a journal written
+    with the exact engine may be resumed with the screened one (and
+    vice versa).
     """
-    payload = {
-        "params": [
-            params.vdd,
-            params.r_driver_cpu,
-            params.r_driver_mem,
-            params.glitch_attenuation,
-        ],
-        "calibration": {
+    state = _library_prefix(
+        _canonical({
             "cth": calibration.cth,
             "v_th": calibration.v_th,
             "t_margin": sorted(
@@ -236,15 +304,22 @@ def config_digest(
                 for direction, margin in calibration.t_margin.items()
             ),
             "safety_factor": calibration.safety_factor,
-        },
-        "defects": [
-            [defect.index, defect.caps.ground, defect.caps.coupling]
-            for defect in defects
-        ],
-        "extra": dict(extra),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        }),
+        defects,
+    ).copy()
+    state.update(
+        (
+            '"extra":' + _canonical(dict(extra)) + ',"params":'
+            + _canonical([
+                params.vdd,
+                params.r_driver_cpu,
+                params.r_driver_mem,
+                params.glitch_attenuation,
+            ])
+            + "}"
+        ).encode("utf-8")
+    )
+    return state.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -30,22 +30,34 @@ values; *how* a defect is judged is an engine concern:
        and its outcome is reused without simulating (random capacitance
        perturbations cluster heavily — thousands of corrupting defects
        typically collapse to a few dozen behaviors),
-    5. and replays the genuinely new behaviors from the last golden
+    5. replays the genuinely new behaviors from the last golden
        checkpoint before their first corrupted transaction — the replay
-       only pays for the suffix.
+       only pays for the suffix,
+    6. and stops a replay that runs past the golden cycle count as soon
+       as it revisits a full system state (Brent's cycle finding over
+       instruction-boundary states, see
+       :meth:`~repro.soc.system.CpuMemorySystem.resume`): such a run
+       provably never halts, and every run that does not halt gets the
+       same verdict, so the rest of the cycle budget is skipped.
 
     The outcomes are bit-identical to :class:`ExactEngine` by
     construction: clean defects cannot diverge, a deduped defect's run
     is forced through the same decisions as the recorded run it matched
     (the bus hook is the *only* path a defect influences the system
-    through), and a resumed replay re-executes every cycle from a state
-    the defective run provably shares.
+    through), a resumed replay re-executes every cycle from a state
+    the defective run provably shares, and a proven hang is a run that
+    cannot halt.  A replay class recorded from a run cut short by the
+    proof stays sound: a defect agreeing with its recorded decisions
+    walks the same states into the same cycle.  :class:`ExactEngine`
+    never takes the proof, so it stays the independent oracle.
 
 Engines do not do their own per-defect observability — the simulator
 remains the instrumented facade — but the screened engine counts its
 triage decisions (``coverage.engine.screened_clean`` /
 ``coverage.engine.replay_deduped`` / ``coverage.engine.replayed`` /
-``coverage.engine.checkpoint_resumed``) through the null-safe registry
+``coverage.engine.checkpoint_resumed`` / ``coverage.engine.hang_proven``,
+plus the budget cycles the proofs skipped in
+``coverage.engine.hang_cycles_saved``) through the null-safe registry
 so campaign reports can show how much work screening saved.
 """
 
@@ -469,10 +481,18 @@ class ScreenedEngine(SimulationEngine):
 
         bus = _bus_of(system, self.bus)
         bus.install_corruption_hook(recording_hook)
+        max_cycles = self.golden.max_cycles
         try:
-            result = system.resume(max_cycles=self.golden.max_cycles)
+            result = system.resume(
+                max_cycles=max_cycles, prove_hang_from=self.golden.cycles
+            )
         finally:
             bus.install_corruption_hook(None)
+        if result.hang_proven:
+            registry.counter("coverage.engine.hang_proven").inc()
+            registry.counter("coverage.engine.hang_cycles_saved").inc(
+                max_cycles - result.cycles
+            )
         self.last_model = model
         outcome = check_response(self.golden, system, result.halted)
         if len(classes) < MAX_REPLAY_CLASSES:

@@ -143,6 +143,31 @@ class Cpu:
         self._pointer_address = snapshot.pointer_address
         self._operand = snapshot.operand
 
+    def state_key(self) -> tuple:
+        """The CPU fields that determine behaviour from here on.
+
+        Registers, packed flags and the microarchitectural latches;
+        the cycle and instruction counts are left out because no
+        behaviour reads them.  Meaningful at instruction boundaries
+        (state ``FETCH1_ADDR``), where the fast core's
+        :meth:`~repro.cpu.microcode.FastCpu.state_key` returns the same
+        tuple — :mod:`repro.cpu.lockstep` checks that.
+        """
+        registers = self.registers
+        return (
+            registers.ac,
+            registers.pc,
+            registers.ir,
+            registers.arg,
+            registers.mar,
+            registers.flags.as_mask(),
+            self._decoded,
+            self._instruction_start,
+            self._effective_address,
+            self._pointer_address,
+            self._operand,
+        )
+
     # -- execution ----------------------------------------------------------
 
     def tick(self) -> None:

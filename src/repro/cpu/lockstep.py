@@ -10,7 +10,9 @@ both, and clocks them *one cycle at a time*, diffing after every cycle:
   driven, received, cycle stamp);
 * the halt flag;
 * optionally the complete CPU snapshot (registers, flags, control
-  state, mid-instruction latches).
+  state, mid-instruction latches) and, at every instruction boundary,
+  the system :meth:`~repro.soc.system.CpuMemorySystem.state_key` a hang
+  proof compares.
 
 On the first difference it raises :class:`LockstepDivergence` carrying
 the cycle number and a description of the mismatch, which makes the
@@ -100,6 +102,7 @@ def run_lockstep(
     fast.reset(entry)
 
     seen = 0
+    instructions = 0
     while not reference.cpu.halted and reference.cycle < max_cycles:
         reference.step()
         fast.step()
@@ -134,6 +137,17 @@ def run_lockstep(
                     f"cpu state differs:\n  micro: {ref_snapshot}\n"
                     f"  fast:  {fast_snapshot}",
                 )
+            boundary = reference.cpu.instruction_count != instructions
+            instructions = reference.cpu.instruction_count
+            if boundary and not reference.cpu.halted:
+                ref_key = reference.state_key()
+                fast_key = fast.state_key()
+                if ref_key != fast_key:
+                    raise LockstepDivergence(
+                        cycle,
+                        f"state key differs at an instruction boundary:\n"
+                        f"  micro: {ref_key}\n  fast:  {fast_key}",
+                    )
 
     final_cycle = reference.cycle
     if reference.cycle != fast.cycle:

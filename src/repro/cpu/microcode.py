@@ -615,6 +615,28 @@ class FastCpu:
             ),
         )
 
+    def state_key(self) -> tuple:
+        """The CPU fields that determine behaviour from here on.
+
+        Meaningful at instruction boundaries (next state ``FETCH1_ADDR``),
+        where it equals the FSM core's :meth:`Cpu.state_key` field for
+        field; the cycle and instruction counts are left out because no
+        behaviour reads them.
+        """
+        return (
+            self.ac,
+            self.pc,
+            self.ir,
+            self.arg,
+            self.mar,
+            self.flags,
+            self._decoded,
+            self._instruction_start,
+            self._effective_address,
+            self._pointer_address,
+            self._operand,
+        )
+
     def reset(self, pc: int = 0) -> None:
         """Reset architectural state and start fetching at ``pc``.
 

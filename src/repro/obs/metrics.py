@@ -17,7 +17,7 @@ therefore be written unconditionally against the registry returned by
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar, Union
 
 
 class Counter:
@@ -142,11 +142,27 @@ class Timer:
 Metric = Union[Counter, Gauge, Timer]
 
 
+_Bound = TypeVar("_Bound")
+
+
 class MetricsRegistry:
     """Creates and holds metrics by name (one kind per name)."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
+        self._bound: Dict[Callable, object] = {}
+
+    def bound(self, factory: Callable[["MetricsRegistry"], _Bound]) -> _Bound:
+        """``factory(self)``, built on first use and reused afterwards.
+
+        Per-run bookkeeping resolves the metrics it touches once per
+        registry this way, instead of looking each one up by name on
+        every run.  Metrics are never removed, so the result stays valid.
+        """
+        bound = self._bound.get(factory)
+        if bound is None:
+            bound = self._bound[factory] = factory(self)
+        return bound  # type: ignore[return-value]
 
     def _get(self, name: str, kind: type) -> Metric:
         metric = self._metrics.get(name)

@@ -71,23 +71,12 @@ class BusStats:
     These are the bus's *native* counters: plain integer increments paid
     on every transfer whether or not observability is enabled, so that
     enabling telemetry does not change the per-transaction cost (the
-    observability layer merely snapshots them per run).
+    observability layer takes per-run deltas of :meth:`Bus.counts`).
     """
 
     transactions: int
     corrupted: int
     by_kind: Dict[TransactionKind, int]
-
-    def delta(self, earlier: "BusStats") -> "BusStats":
-        """Stats accumulated since ``earlier`` was captured."""
-        return BusStats(
-            transactions=self.transactions - earlier.transactions,
-            corrupted=self.corrupted - earlier.corrupted,
-            by_kind={
-                kind: self.by_kind[kind] - earlier.by_kind.get(kind, 0)
-                for kind in self.by_kind
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -159,6 +148,19 @@ class Bus:
             transactions=self._transaction_count,
             corrupted=self._corrupted_count,
             by_kind={kind: self._kind_counts[kind.value] for kind in TransactionKind},
+        )
+
+    def counts(self) -> Tuple[int, ...]:
+        """The native counters as one flat tuple.
+
+        ``(transactions, corrupted, *per-kind)``, the kinds in
+        :class:`TransactionKind` order: the cheap form of :meth:`stats`
+        for callers that only take deltas.
+        """
+        return (
+            self._transaction_count,
+            self._corrupted_count,
+            *self._kind_counts.values(),
         )
 
     def reset(self, value: int = 0) -> None:

@@ -67,6 +67,10 @@ class Memory:
             raise ValueError("snapshot size mismatch")
         self._cells[:] = snapshot
 
+    def equals(self, snapshot: bytes) -> bool:
+        """True if the content equals ``snapshot`` (one C-level compare)."""
+        return self._cells == snapshot
+
     def region(self, start: int, length: int) -> bytes:
         """Return ``length`` bytes starting at ``start``."""
         self._check(start)

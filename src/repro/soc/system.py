@@ -15,14 +15,16 @@ manifest in the paper (Section 3.2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.control import STATE_CATEGORIES
 from repro.cpu.datapath import BusPort, Cpu, CpuSnapshot
 from repro.cpu.microcode import FastCpu, resolve_core
 from repro.isa.instructions import ADDR_BITS, DATA_BITS, MEMORY_SIZE
 from repro.obs import runtime as obs_runtime
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.runtime import Observability
 from repro.soc.bus import Bus, BusDirection, BusSnapshot, TransactionKind
 from repro.soc.memory import Memory
@@ -31,15 +33,26 @@ from repro.soc.mmio import MMIORegion
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of running the CPU until halt or a cycle budget."""
+    """Outcome of running the CPU until halt or a cycle budget.
+
+    ``hang_proven`` is set when a proving run (``resume`` with
+    ``prove_hang_from``) stopped early because the system revisited a
+    full state it had already been in: the run provably never halts, so
+    ``cycles`` is where the proof landed, not the budget.
+    """
 
     halted: bool
     cycles: int
     instructions: int
+    hang_proven: bool = False
 
     @property
     def timed_out(self) -> bool:
-        """True when the cycle budget expired before the halt convention."""
+        """True when the run did not reach the halt convention.
+
+        Either the cycle budget expired or the run was proven to loop
+        forever (:attr:`hang_proven`); both are the same verdict.
+        """
         return not self.halted
 
 
@@ -180,6 +193,21 @@ class CpuMemorySystem(BusPort):
             data_bus=self.data_bus.snapshot(),
         )
 
+    def state_key(self) -> tuple:
+        """Every field but memory that determines behaviour from here on.
+
+        The CPU's :meth:`~repro.cpu.datapath.Cpu.state_key`, the pending
+        (received) address and both buses' held words.  Taken at
+        instruction boundaries, where both cores agree on it; together
+        with the memory image it is the state a hang proof compares.
+        """
+        return (
+            self.cpu.state_key(),
+            self._pending_address,
+            self.address_bus.value,
+            self.data_bus.value,
+        )
+
     def restore(self, snapshot: SystemSnapshot) -> None:
         """Rewind the system to a previously captured snapshot.
 
@@ -212,7 +240,11 @@ class CpuMemorySystem(BusPort):
         self.reset(entry)
         return self._drive(obs_runtime.active(), max_cycles, "cpu.runs")
 
-    def resume(self, max_cycles: int = 1_000_000) -> RunResult:
+    def resume(
+        self,
+        max_cycles: int = 1_000_000,
+        prove_hang_from: Optional[int] = None,
+    ) -> RunResult:
         """Continue clocking without a reset.
 
         Used for cycle-level inspection and by the screened simulation
@@ -220,13 +252,21 @@ class CpuMemorySystem(BusPort):
         same way as :meth:`run` (counter ``cpu.resumes`` instead of
         ``cpu.runs``); counter increments are deltas over this call, so
         a run split into resumes tallies the same totals as one run.
-        """
-        return self._drive(obs_runtime.active(), max_cycles, "cpu.resumes")
 
-    def _clock(self, max_cycles: int) -> RunResult:
+        With ``prove_hang_from`` set, the run also watches for a
+        repeated full system state once the clock reaches that cycle
+        and stops there with ``hang_proven`` set (see :meth:`_prove`).
+        A proven run never halts, so its outcome equals the one the
+        full budget would have reached; only ``cycles`` is smaller.
+        Systems with MMIO regions refuse, as :meth:`snapshot` does.
+        """
+        return self._drive(
+            obs_runtime.active(), max_cycles, "cpu.resumes", prove_hang_from
+        )
+
+    def _clock(self, max_cycles: int, tick: Callable[[], None]) -> RunResult:
         """Tick until halt or ``max_cycles``, the cycle count kept local."""
         cpu = self.cpu
-        tick = cpu.tick
         cycle = self.cycle
         while not cpu.halted and cycle < max_cycles:
             cycle += 1
@@ -234,52 +274,152 @@ class CpuMemorySystem(BusPort):
             tick()
         return RunResult(
             halted=cpu.halted,
-            cycles=self.cycle,
+            cycles=cycle,
             instructions=cpu.instruction_count,
         )
 
+    def _prove(self, max_cycles: int, tick: Callable[[], None]) -> RunResult:
+        """:meth:`_clock` that also stops at a provably endless loop.
+
+        Brent's cycle finding over the states at instruction boundaries:
+        one saved :meth:`state_key` and memory copy, re-saved whenever
+        the number of boundaries since the last save reaches the next
+        power of two.  The system is deterministic and a defect acts
+        only through the bus corruption hook, a pure function of each
+        transition, so meeting the saved state again means the run
+        loops forever.  The memory image is compared only when the
+        register-level keys already match.
+        """
+        if self.mmio_regions:
+            raise ValueError(
+                "cannot prove a hang with MMIO regions: peripheral cores "
+                "hold state outside the system's reach"
+            )
+        cpu = self.cpu
+        memory = self.memory
+        state_key = self.state_key
+        cycle = self.cycle
+        count = cpu.instruction_count
+        saved_key = None
+        saved_memory = b""
+        power = 1
+        steps = 0
+        while not cpu.halted and cycle < max_cycles:
+            cycle += 1
+            self.cycle = cycle
+            tick()
+            if cpu.instruction_count == count:
+                continue
+            count = cpu.instruction_count
+            if cpu.halted:
+                break
+            key = state_key()
+            if key == saved_key and memory.equals(saved_memory):
+                return RunResult(
+                    halted=False, cycles=cycle, instructions=count,
+                    hang_proven=True,
+                )
+            steps += 1
+            if steps == power:
+                saved_key = key
+                saved_memory = memory.snapshot()
+                power *= 2
+                steps = 0
+        return RunResult(halted=cpu.halted, cycles=cycle, instructions=count)
+
+    def _advance(
+        self,
+        max_cycles: int,
+        tick: Callable[[], None],
+        prove_hang_from: Optional[int],
+    ) -> RunResult:
+        """Clock plainly, then (if asked) through :meth:`_prove`."""
+        if prove_hang_from is None:
+            return self._clock(max_cycles, tick)
+        self._clock(min(prove_hang_from, max_cycles), tick)
+        return self._prove(max_cycles, tick)
+
     def _drive(
-        self, obs: Optional[Observability], max_cycles: int, run_counter: str
+        self,
+        obs: Optional[Observability],
+        max_cycles: int,
+        run_counter: str,
+        prove_hang_from: Optional[int] = None,
     ) -> RunResult:
         """Clock the CPU until halt or ``max_cycles``; shared by run/resume.
 
-        Metrics mode clocks through the same tight loop as the
-        uninstrumented path: every metric is a before/after delta.
+        Metrics mode clocks through the same loops as the uninstrumented
+        path: every metric is a before/after delta of native counters,
+        tallied into counters resolved once per registry.
         """
-        if obs is None:
-            return self._clock(max_cycles)
         cpu = self.cpu
+        if obs is None:
+            return self._advance(max_cycles, cpu.tick, prove_hang_from)
         cycles_before = self.cycle
         instructions_before = cpu.instruction_count
-        before = [bus.stats() for bus in (self.address_bus, self.data_bus)]
+        address_bus, data_bus = self.address_bus, self.data_bus
+        before = address_bus.counts() + data_bus.counts()
         occupancy: dict = {}
+        tick = cpu.tick
         if obs.full_detail:
-            while not cpu.halted and self.cycle < max_cycles:
-                self.cycle += 1
-                cpu.tick_counted(occupancy)
-        result = self._clock(max_cycles)
+            tick = functools.partial(cpu.tick_counted, occupancy)
+        result = self._advance(max_cycles, tick, prove_hang_from)
         registry = obs.registry
+        tally = registry.bound(_RunTally)
         registry.counter(run_counter).inc()
-        registry.counter("cpu.cycles").inc(self.cycle - cycles_before)
-        registry.counter("cpu.instructions").inc(
-            cpu.instruction_count - instructions_before
-        )
+        tally.cycles.inc(self.cycle - cycles_before)
+        tally.instructions.inc(cpu.instruction_count - instructions_before)
         if result.timed_out:
             registry.counter("cpu.timeouts").inc()
-        for bus, earlier in zip((self.address_bus, self.data_bus), before):
-            delta = bus.stats().delta(earlier)
-            registry.counter(f"bus.{bus.name}.transactions").inc(
-                delta.transactions
-            )
-            registry.counter(f"bus.{bus.name}.corrupted").inc(delta.corrupted)
-            for kind, count in delta.by_kind.items():
-                if count:
-                    registry.counter(
-                        f"bus.{bus.name}.kind.{kind.value}"
-                    ).inc(count)
+        tally.add_buses(address_bus.counts() + data_bus.counts(), before)
         for state, count in occupancy.items():
             registry.counter(f"cpu.state.{state.value}").inc(count)
             registry.counter(
                 f"cpu.state_class.{STATE_CATEGORIES[state]}"
             ).inc(count)
         return result
+
+
+#: Counter names aligned with ``address_bus.counts() + data_bus.counts()``.
+_BUS_COUNTER_NAMES = tuple(
+    name
+    for bus in ("addr", "data")
+    for name in (
+        (f"bus.{bus}.transactions", f"bus.{bus}.corrupted")
+        + tuple(f"bus.{bus}.kind.{kind.value}" for kind in TransactionKind)
+    )
+)
+#: Slots of the per-bus totals, which every run reports even when zero.
+_BUS_TOTALS = (0, 1, 2 + len(TransactionKind), 3 + len(TransactionKind))
+
+
+class _RunTally:
+    """One registry's per-bus run counters, resolved on first use.
+
+    Built once per registry (:meth:`MetricsRegistry.bound`).  The
+    per-kind counters are created only when a run first moves them, so
+    reports list exactly the metrics they did when every run looked
+    them up by name.
+    """
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.cycles = registry.counter("cpu.cycles")
+        self.instructions = registry.counter("cpu.instructions")
+        self._buses: List[Optional[Counter]] = [None] * len(_BUS_COUNTER_NAMES)
+        for slot in _BUS_TOTALS:
+            self._buses[slot] = registry.counter(_BUS_COUNTER_NAMES[slot])
+
+    def add_buses(self, now: Tuple[int, ...], earlier: Tuple[int, ...]) -> None:
+        """Add both buses' native counter deltas over one run."""
+        counters = self._buses
+        for slot, after in enumerate(now):
+            delta = after - earlier[slot]
+            if delta:
+                counter = counters[slot]
+                if counter is None:
+                    counter = counters[slot] = self.registry.counter(
+                        _BUS_COUNTER_NAMES[slot]
+                    )
+                # Native counters only grow within a run: no inc() check.
+                counter.value += delta

@@ -11,8 +11,11 @@ This package stands in for the paper's HDL-level crosstalk machinery:
 * the defect-library generator (Gaussian capacitance perturbation with a
   net-coupling threshold ``Cth``, after Cuviello et al., ICCAD 1999),
 * a scipy-based coupled-RC waveform simulator used to validate the lumped
-  estimators.
+  estimators.  No campaign path needs it, so :mod:`repro.xtalk.waveform`
+  (and with it scipy) is imported on first access to its names only.
 """
+
+from typing import Any
 
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.capacitance import (
@@ -33,7 +36,6 @@ from repro.xtalk.kernel import TransitionKernel, WireError
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.screen import ScreenVerdict, TraceScreen
 from repro.xtalk.defects import Defect, DefectLibrary, generate_defect_library
-from repro.xtalk.waveform import WaveformResult, simulate_transition
 
 __all__ = [
     "BusGeometry",
@@ -61,3 +63,11 @@ __all__ = [
     "WaveformResult",
     "simulate_transition",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in ("WaveformResult", "simulate_transition"):
+        from repro.xtalk import waveform
+
+        return getattr(waveform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

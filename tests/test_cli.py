@@ -188,3 +188,26 @@ def test_profile_trace_export(tmp_path, capsys):
     assert report.results["trace"]["transactions"] == 64
     assert report.results["trace"]["dropped"] > 0
     assert len(load_jsonl(trace)) == 64
+
+
+def test_simulate_reports_proven_hangs(capsys):
+    """The screened engine proves some hangs; verdicts match exact."""
+    payloads = {}
+    for engine in ("screened", "exact"):
+        assert main([
+            "simulate", "--bus", "addr", "--defects", "50", "--no-cache",
+            "--engine", engine, "--json",
+        ]) == 0
+        payloads[engine] = json.loads(capsys.readouterr().out)
+    screened, exact = payloads["screened"], payloads["exact"]
+    for key in ("detected", "timeouts", "coverage"):
+        assert screened[key] == exact[key]
+    assert screened["hang_proven"] >= 1
+    assert screened["hang_cycles_saved"] > 0
+    assert exact["hang_proven"] == exact["hang_cycles_saved"] == 0
+    assert main([
+        "simulate", "--bus", "addr", "--defects", "50", "--no-cache",
+        "--engine", "screened",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert f"hangs proven by a repeated state  {screened['hang_proven']}" in out

@@ -109,6 +109,83 @@ class TestCampaignSpec:
         )
         assert fewer.fingerprint() != spec.fingerprint()
 
+    def test_fingerprint_value_is_pinned(self):
+        """Journals and cache entries written before stay valid."""
+        from repro import default_bus_setup
+        from repro.core.program_builder import SelfTestProgramBuilder
+
+        setup = default_bus_setup(8, defect_count=20, seed=2001)
+        program = SelfTestProgramBuilder().build_data_bus_program()
+        spec = CampaignSpec.from_setup(program, setup, bus="data")
+        assert spec.fingerprint() == (
+            "e85a2a87cb688501755ca7b556ebd27d"
+            "828238a4017eaf5607d22d797593755e"
+        )
+
+    def test_fingerprint_prefix_is_shared_only_by_identical_defects(
+        self, spec
+    ):
+        """Equal libraries that serialise differently keep their digests.
+
+        ``-0.0 == 0.0``, so a library whose first defect has a ``-0.0``
+        diagonal compares equal to the original; its canonical JSON, and
+        so its fingerprint, differs.  Both must match the digest of the
+        whole canonical document hashed in one go.
+        """
+        import dataclasses
+        import hashlib
+
+        from repro.core.campaign import config_digest
+
+        first = spec.defects[0]
+        coupling = (
+            (-0.0,) + first.caps.coupling[0][1:],
+        ) + first.caps.coupling[1:]
+        signed = dataclasses.replace(
+            first, caps=dataclasses.replace(first.caps, coupling=coupling)
+        )
+        twin = (signed,) + spec.defects[1:]
+        assert twin == spec.defects
+
+        def whole(defects, extra):
+            calibration = spec.calibration
+            payload = {
+                "params": [
+                    spec.params.vdd,
+                    spec.params.r_driver_cpu,
+                    spec.params.r_driver_mem,
+                    spec.params.glitch_attenuation,
+                ],
+                "calibration": {
+                    "cth": calibration.cth,
+                    "v_th": calibration.v_th,
+                    "t_margin": sorted(
+                        (direction.value, margin)
+                        for direction, margin in calibration.t_margin.items()
+                    ),
+                    "safety_factor": calibration.safety_factor,
+                },
+                "defects": [
+                    [d.index, d.caps.ground, d.caps.coupling]
+                    for d in defects
+                ],
+                "extra": extra,
+            }
+            canonical = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            )
+            return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+        digests = {}
+        for name, defects in (("plain", spec.defects), ("signed", twin)):
+            for extra in ({"kind": "a"}, {"kind": "b"}, {"kind": "a"}):
+                digest = config_digest(
+                    spec.params, spec.calibration, defects, extra
+                )
+                assert digest == whole(defects, extra)
+                digests[name, extra["kind"]] = digest
+        assert digests["plain", "a"] != digests["signed", "a"]
+
     def test_build_engine_leaves_spec_picklable(self, spec):
         """Engines hold live buses and hooks; the spec must not."""
         spec.build_engine()

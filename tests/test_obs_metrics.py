@@ -82,6 +82,19 @@ def test_registry_get_or_create_and_kind_mismatch():
     ]
 
 
+def test_registry_bound_builds_once_per_registry():
+    built = []
+
+    def factory(registry):
+        built.append(registry)
+        return registry.counter("bound.runs")
+
+    first, second = MetricsRegistry(), MetricsRegistry()
+    assert first.bound(factory) is first.bound(factory)
+    assert second.bound(factory) is not first.bound(factory)
+    assert built == [first, second]
+
+
 def test_registry_snapshot_shape():
     registry = MetricsRegistry()
     registry.counter("a").inc(2)

@@ -156,6 +156,34 @@ def test_snapshot_refused_with_mmio_regions():
         system.snapshot()
 
 
+def test_observed_run_tallies_native_bus_counters():
+    from repro.obs import runtime as obs_runtime
+
+    system = CpuMemorySystem()
+    program = assemble(
+        ".org 0x10\nlda val\nsta out\nhalt: jmp halt\n"
+        "val: .byte 7\nout: .byte 0"
+    )
+    system.load_image(program.image)
+    with obs_runtime.session() as obs:
+        system.run(entry=0x10)
+        system.run(entry=0x10)
+    snapshot = obs.registry.snapshot()
+    for bus in (system.address_bus, system.data_bus):
+        stats = bus.stats()
+        prefix = f"bus.{bus.name}."
+        assert snapshot[prefix + "transactions"]["value"] == stats.transactions
+        assert snapshot[prefix + "corrupted"]["value"] == 0
+        for kind, count in stats.by_kind.items():
+            name = prefix + "kind." + kind.value
+            if count:
+                assert snapshot[name]["value"] == count
+            else:  # kinds a run never moved stay out of the report
+                assert name not in snapshot
+    assert "cpu.timeouts" not in snapshot
+    assert snapshot["cpu.runs"]["value"] == 2
+
+
 def test_observed_resume_counts_deltas():
     from repro.obs import runtime as obs_runtime
 

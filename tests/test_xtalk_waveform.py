@@ -74,3 +74,27 @@ def test_delay_zero_for_stable_and_inf_for_unsettled(setup):
         caps, params, ONES & ~(1 << victim), 1 << victim, t_end=1e-15, points=8
     )
     assert short.delay_to_half(victim) == float("inf")
+
+
+def test_campaigns_do_not_import_scipy():
+    """The waveform simulator (and scipy) loads only when asked for."""
+    import subprocess
+    import sys
+
+    script = "\n".join([
+        "import sys",
+        "import repro",
+        "from repro.core.campaign import CampaignSpec, run_campaign",
+        "from repro.core.program_builder import SelfTestProgramBuilder",
+        "setup = repro.default_data_bus_setup(defect_count=5)",
+        "program = SelfTestProgramBuilder().build_data_bus_program()",
+        "spec = CampaignSpec.from_setup(program, setup, bus='data',",
+        "                               engine='screened', use_cache=False)",
+        "assert len(run_campaign(spec).outcomes) == 5",
+        "assert 'scipy' not in sys.modules, 'a campaign imported scipy'",
+        "from repro.xtalk import WaveformResult, simulate_transition",
+        "assert 'scipy' in sys.modules",
+        "import repro.xtalk",
+        "assert repro.xtalk.simulate_transition is simulate_transition",
+    ])
+    subprocess.run([sys.executable, "-c", script], check=True)
