@@ -168,6 +168,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     hang_cycles_saved = _counter_value(
         metrics, "coverage.engine.hang_cycles_saved"
     )
+    load_runs = _counter_value(metrics, "coverage.engine.load_runs")
+    load_run_instructions = _counter_value(
+        metrics, "coverage.engine.load_run_instructions"
+    )
     total = len(result.outcomes)
     detected = result.detected
     if args.json:
@@ -188,6 +192,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "golden_cycles": golden_cycles,
                 "hang_proven": hang_proven,
                 "hang_cycles_saved": hang_cycles_saved,
+                "load_runs": load_runs,
+                "load_run_instructions": load_run_instructions,
             },
             sys.stdout,
             sort_keys=True,
@@ -204,6 +210,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("of which hung the CPU", str(result.timeouts)),
         ("hangs proven by a repeated state", str(hang_proven)),
         ("budget cycles the proofs skipped", str(hang_cycles_saved)),
+        ("direct-load runs executed whole", str(load_runs)),
+        ("instructions in those runs", str(load_run_instructions)),
         ("golden cycles simulated", str(golden_cycles)),
         ("golden cache hits/misses",
          f"{cache_stats['hits']} / {cache_stats['misses']}"),

@@ -85,7 +85,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import Counter, MetricsRegistry, merge_snapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
-from repro.xtalk.error_model import CrosstalkErrorModel
+from repro.xtalk.error_model import MODEL_STATS
 from repro.xtalk.params import ElectricalParams
 from repro.xtalk.screen import ScreenVerdict
 
@@ -119,7 +119,7 @@ class _DefectTally:
     """One registry's per-defect metrics, resolved once per registry.
 
     The error-model counters are resolved with the first defect that
-    ran a model, so a report lists the same metrics as when each was
+    was simulated, so a report lists the same metrics as when each was
     looked up by name per defect.
     """
 
@@ -129,16 +129,15 @@ class _DefectTally:
         self.simulated = registry.counter("coverage.defects.simulated")
         self.model: Optional[Tuple[Counter, ...]] = None
 
-    def add_model(self, model: CrosstalkErrorModel) -> None:
-        stats = model.stats()
+    def add_stats(self, stats: Dict[str, int]) -> None:
         counters = self.model
         if counters is None:
             counters = self.model = tuple(
                 self.registry.counter(f"xtalk.model.{suffix}")
-                for suffix in stats
+                for suffix in MODEL_STATS
             )
-        for counter, value in zip(counters, stats.values()):
-            counter.inc(value)
+        for counter, suffix in zip(counters, MODEL_STATS):
+            counter.inc(stats[suffix])
 
 
 def execute_defect(
@@ -176,8 +175,8 @@ def execute_defect(
         registry.counter("coverage.defects.detected").inc()
     if check.timed_out:
         registry.counter("coverage.defects.timeouts").inc()
-    if engine.last_model is not None:
-        tally.add_model(engine.last_model)
+    if engine.last_stats is not None:
+        tally.add_stats(engine.last_stats)
     return DetectionOutcome(
         defect_index=defect.index,
         detected=check.detected,

@@ -33,19 +33,25 @@ values; *how* a defect is judged is an engine concern:
     5. replays the genuinely new behaviors from the last golden
        checkpoint before their first corrupted transaction — the replay
        only pays for the suffix,
-    6. and stops a replay that runs past the golden cycle count as soon
+    6. stops a replay that runs past the golden cycle count as soon
        as it revisits a full system state (Brent's cycle finding over
        instruction-boundary states, see
        :meth:`~repro.soc.system.CpuMemorySystem.resume`): such a run
        provably never halts, and every run that does not halt gets the
-       same verdict, so the rest of the cycle budget is skipped.
+       same verdict, so the rest of the cycle budget is skipped,
+    7. and executes runs of direct loads in a replay a whole instruction
+       at a time: derailed CPUs slide through zero-filled memory, which
+       decodes as ``LDA 0:00``.  Every transaction still goes through the
+       same hook in the same order, and only whole loads within the
+       budget are committed, so the run ends in the state per-cycle
+       ticks reach.
 
     The outcomes are bit-identical to :class:`ExactEngine` by
     construction: clean defects cannot diverge, a deduped defect's run
     is forced through the same decisions as the recorded run it matched
     (the bus hook is the *only* path a defect influences the system
-    through), a resumed replay re-executes every cycle from a state
-    the defective run provably shares, and a proven hang is a run that
+    through), a resumed replay re-executes every bus transaction from a
+    state the defective run provably shares, and a proven hang is a run that
     cannot halt.  A replay class recorded from a run cut short by the
     proof stays sound: a defect agreeing with its recorded decisions
     walks the same states into the same cycle.  :class:`ExactEngine`
@@ -57,8 +63,11 @@ triage decisions (``coverage.engine.screened_clean`` /
 ``coverage.engine.replay_deduped`` / ``coverage.engine.replayed`` /
 ``coverage.engine.checkpoint_resumed`` / ``coverage.engine.hang_proven``,
 plus the budget cycles the proofs skipped in
-``coverage.engine.hang_cycles_saved``) through the null-safe registry
-so campaign reports can show how much work screening saved.
+``coverage.engine.hang_cycles_saved`` and the load runs in
+``coverage.engine.load_runs`` / ``coverage.engine.load_run_instructions``)
+through the null-safe registry so campaign reports can show how much
+work screening saved.  Its ``xtalk.model.*`` tallies are the hooked
+bus's native counter deltas over each replay.
 """
 
 from __future__ import annotations
@@ -75,11 +84,11 @@ from repro.core.signature import (
     make_system,
 )
 from repro.obs import runtime as obs_runtime
-from repro.soc.bus import Bus, BusDirection, BusTransaction
+from repro.soc.bus import Bus, BusTransaction
 from repro.soc.system import CpuMemorySystem, SystemSnapshot
 from repro.xtalk.calibration import Calibration
 from repro.xtalk.defects import Defect
-from repro.xtalk.error_model import CrosstalkErrorModel
+from repro.xtalk.error_model import MODEL_STATS, CrosstalkErrorModel
 from repro.xtalk.kernel import (
     CompiledDefect,
     KeySpace,
@@ -198,17 +207,18 @@ class SimulationEngine:
     * :meth:`check` returns the :class:`ResponseCheck` the paper's
       external tester would produce for the defective chip — engines
       must be outcome-equivalent, whatever shortcut they take.
-    * :attr:`last_model` is the error model of the most recent
-      :meth:`check` call, or ``None`` when the engine proved the defect
-      clean without simulating (callers roll its verdict statistics into
-      observability when present).
+    * :attr:`last_stats` holds the error-model tallies (see
+      :data:`~repro.xtalk.error_model.MODEL_STATS`) of the most recent
+      :meth:`check` call over the bus under test, or ``None`` when the
+      engine judged the defect without simulating (callers roll them
+      into observability when present).
     * :meth:`prepare` is an optional whole-library hook so batch-capable
       engines can amortize work across defects.
     """
 
     name: str
     golden: GoldenReference
-    last_model: Optional[CrosstalkErrorModel]
+    last_stats: Optional[Dict[str, int]]
 
     def prepare(self, defects: Iterable[Defect]) -> None:
         """Optional batch hook called before a library sweep."""
@@ -256,7 +266,7 @@ class ExactEngine(SimulationEngine):
                 instructions=result.instructions,
             )
         self.golden = golden
-        self.last_model = None
+        self.last_stats = None
 
     def prepare(self, defects: Iterable[Defect]) -> None:
         """Compile the library's decision tables in one batch."""
@@ -271,7 +281,7 @@ class ExactEngine(SimulationEngine):
         result = system.run(
             entry=self.program.entry, max_cycles=self.golden.max_cycles
         )
-        self.last_model = model
+        self.last_stats = model.stats()
         return check_response(self.golden, system, result.halted)
 
 
@@ -369,7 +379,7 @@ class ScreenedEngine(SimulationEngine):
         # most-recently-matched first (defect libraries cluster, so the
         # scan almost always hits the front entry).
         self._replay_classes: Dict[int, List[_ReplayClass]] = {}
-        self.last_model = None
+        self.last_stats = None
 
     # -- screening ----------------------------------------------------------
 
@@ -450,7 +460,7 @@ class ScreenedEngine(SimulationEngine):
         registry = obs_runtime.registry()
         if verdict.clean:
             # Provably identical to the fault-free run: no simulation.
-            self.last_model = None
+            self.last_stats = None
             registry.counter("coverage.engine.screened_clean").inc()
             return CLEAN_CHECK
         compiled = compile_defect(defect.caps, self.params, self.calibration)
@@ -458,7 +468,7 @@ class ScreenedEngine(SimulationEngine):
         known = self._matching_class(classes, compiled)
         if known is not None:
             # Provably identical to an already-simulated defective run.
-            self.last_model = None
+            self.last_stats = None
             registry.counter("coverage.engine.replay_deduped").inc()
             return known.check
         registry.counter("coverage.engine.replayed").inc()
@@ -467,20 +477,12 @@ class ScreenedEngine(SimulationEngine):
             registry.counter("coverage.engine.checkpoint_resumed").inc()
         system = self._scratch
         system.restore(checkpoint.snapshot)
-        model = CrosstalkErrorModel(defect.caps, self.params, self.calibration)
-        corrupt = model.corrupt
-        decisions: Dict[Tuple[int, int, BusDirection], int] = {}
-
-        def recording_hook(
-            previous: int, driven: int, direction: BusDirection
-        ) -> int:
-            received = corrupt(previous, driven, direction)
-            if previous != driven:  # no-transition words corrupt for no kernel
-                decisions[(previous, driven, direction)] = received
-            return received
-
+        recorded: Tuple[Dict[int, int], ...] = ({}, {})
         bus = _bus_of(system, self.bus)
-        bus.install_corruption_hook(recording_hook)
+        bus.install_corruption_hook(compiled.recording_hook(recorded))
+        tallies_before = _model_tallies(bus)
+        runs_before = system.load_runs
+        loads_before = system.load_run_instructions
         max_cycles = self.golden.max_cycles
         try:
             result = system.resume(
@@ -493,14 +495,35 @@ class ScreenedEngine(SimulationEngine):
             registry.counter("coverage.engine.hang_cycles_saved").inc(
                 max_cycles - result.cycles
             )
-        self.last_model = model
+        if system.load_runs != runs_before:
+            registry.counter("coverage.engine.load_runs").inc(
+                system.load_runs - runs_before
+            )
+            registry.counter("coverage.engine.load_run_instructions").inc(
+                system.load_run_instructions - loads_before
+            )
+        self.last_stats = {
+            name: after - before
+            for name, after, before in zip(
+                MODEL_STATS, _model_tallies(bus), tallies_before
+            )
+        }
         outcome = check_response(self.golden, system, result.halted)
         if len(classes) < MAX_REPLAY_CLASSES:
-            must, seen = compiled.space.agreement_masks(
-                list(decisions.items())
-            )
+            must, seen = compiled.space.agreement_masks(recorded)
             classes.append(_ReplayClass(compiled.space, must, seen, outcome))
         return outcome
+
+
+def _model_tallies(bus: Bus) -> Tuple[int, ...]:
+    """The bus's native counters in :data:`MODEL_STATS` order.
+
+    Transactions are hook invocations; corrupted transactions, glitched
+    and delayed wires are what the hook decided, counted once per
+    committed transaction.
+    """
+    transactions, corrupted = bus.counts()[:2]
+    return (transactions, corrupted) + bus.flips()
 
 
 def make_engine(

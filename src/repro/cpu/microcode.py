@@ -39,6 +39,8 @@ from repro.soc.bus import TransactionKind
 
 __all__ = [
     "CORES",
+    "DIRECT_LOAD_CYCLES",
+    "DIRECT_LOAD_END",
     "FastCpu",
     "MICROPROGRAMS",
     "MicroProgram",
@@ -519,6 +521,13 @@ def _compile(byte1: int) -> MicroProgram:
 #: time — the fast core's whole "decoder".
 MICROPROGRAMS: Tuple[MicroProgram, ...] = tuple(_compile(b) for b in range(256))
 
+#: First bytes below this are direct loads (``LDA p:xx``, page ``p`` =
+#: the byte): 8 cycles, six bus transactions, no memory write.  Zeroed
+#: memory decodes as ``LDA 0:00``, which is where derailed runs slide.
+DIRECT_LOAD_END = 0x10
+#: Cycles of one direct load: the two-cycle fetch plus its microprogram.
+DIRECT_LOAD_CYCLES = len(_FETCH_STEPS) + len(MICROPROGRAMS[0].steps)
+
 
 class FastCpu:
     """Drop-in replacement for :class:`~repro.cpu.datapath.Cpu`.
@@ -584,6 +593,43 @@ class FastCpu:
         occupancy[state] = occupancy.get(state, 0) + 1
         self._step = step + 1
         self._program[step](self)
+
+    def commit_loads(
+        self,
+        count: int,
+        pc: int,
+        start: int,
+        ir: int,
+        arg: int,
+        effective: int,
+        operand: int,
+    ) -> None:
+        """Finish ``count`` direct loads (first bytes ``0x00``-``0x0F``).
+
+        Called at an instruction boundary with the values the last of
+        them left behind: the next ``pc``, its first byte's address
+        ``start``, the received ``ir`` and ``arg`` bytes, the
+        ``effective`` address and the received ``operand``.  The CPU
+        ends in the state ``8 * count`` ticks would leave: an LDA
+        overwrites every register it touches, and keeps V and C.
+        """
+        self.pc = pc
+        self._instruction_start = start
+        self.ir = ir
+        self._decoded = MICROPROGRAMS[ir].decoded
+        self.arg = arg
+        self.mar = effective
+        self._effective_address = effective
+        self._operand = operand
+        value = operand & _AC_MASK
+        self.ac = value
+        flags = self.flags & (_FLAG_V | _FLAG_C)
+        if value == 0:
+            flags |= _FLAG_Z
+        if value & 0x80:
+            flags |= _FLAG_N
+        self.flags = flags
+        self.instruction_count += count
 
     # -- FSM-compatible surface ---------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class BusDirection(enum.Enum):
@@ -122,6 +122,8 @@ class Bus:
         self._observers: List[Callable[[BusTransaction], None]] = []
         self._transaction_count = 0
         self._corrupted_count = 0
+        self._glitch_flips = 0
+        self._delay_flips = 0
         # Keyed by TransactionKind.value: string keys have a C-level
         # cached hash, unlike enum members whose __hash__ is a Python
         # call — and transfer() bumps this on every bus word.
@@ -162,6 +164,47 @@ class Bus:
             self._corrupted_count,
             *self._kind_counts.values(),
         )
+
+    def flips(self) -> Tuple[int, int]:
+        """``(glitch, delay)``: wires flipped by corrupted transactions.
+
+        A flipped wire that was switching sampled its old value (a delay
+        error); a flipped stable wire glitched.  Native tallies like
+        :meth:`counts`, bumped only when a transaction is corrupted;
+        they are not part of snapshots, so callers take deltas.
+        """
+        return self._glitch_flips, self._delay_flips
+
+    def _tally_flips(self, previous: int, driven: int, received: int) -> None:
+        flips = received ^ driven
+        delays = bin(flips & (previous ^ driven)).count("1")
+        self._delay_flips += delays
+        self._glitch_flips += bin(flips).count("1") - delays
+
+    def commit_loads(
+        self,
+        count: int,
+        value: int,
+        corrupted: Sequence[Tuple[int, int, int]],
+    ) -> None:
+        """Book ``count`` direct loads' transactions in bulk.
+
+        Each load moves two instruction fetches and one operand read
+        over this bus; ``value`` is the word it holds afterwards and
+        ``corrupted`` lists the ``(previous, driven, received)``
+        transactions among them whose receiver sampled another word.
+        The counters end exactly where ``3 * count`` :meth:`transfer`
+        calls would leave them.  Only valid without observers, which
+        would have to see every transaction.
+        """
+        self._value = value
+        self._transaction_count += 3 * count
+        kinds = self._kind_counts
+        kinds[TransactionKind.FETCH.value] += 2 * count
+        kinds[TransactionKind.OPERAND_READ.value] += count
+        self._corrupted_count += len(corrupted)
+        for previous, driven, received in corrupted:
+            self._tally_flips(previous, driven, received)
 
     def reset(self, value: int = 0) -> None:
         """Reset the held word (the corruption hook and observers remain)."""
@@ -223,6 +266,7 @@ class Bus:
         self._kind_counts[kind._value_] += 1
         if received != value:
             self._corrupted_count += 1
+            self._tally_flips(previous, value, received)
         observers = self._observers
         if observers:
             # Only materialize the transaction record when someone is

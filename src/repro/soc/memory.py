@@ -22,7 +22,7 @@ class Memory:
             raise ValueError("fill byte out of range")
         self.size = size
         self._fill = fill
-        self._cells = bytearray([fill] * size)
+        self._cells = bytearray(bytes((fill,)) * size)
 
     def _check(self, address: int) -> None:
         if not 0 <= address < self.size:
@@ -49,8 +49,7 @@ class Memory:
         """Set every cell to ``value``."""
         if not 0 <= value < 256:
             raise ValueError(f"byte out of range: {value}")
-        for index in range(self.size):
-            self._cells[index] = value
+        self._cells[:] = bytes((value,)) * self.size
 
     def snapshot(self) -> bytes:
         """Return an immutable copy of the whole memory content."""

@@ -21,7 +21,12 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu.control import STATE_CATEGORIES
 from repro.cpu.datapath import BusPort, Cpu, CpuSnapshot
-from repro.cpu.microcode import FastCpu, resolve_core
+from repro.cpu.microcode import (
+    DIRECT_LOAD_CYCLES,
+    DIRECT_LOAD_END,
+    FastCpu,
+    resolve_core,
+)
 from repro.isa.instructions import ADDR_BITS, DATA_BITS, MEMORY_SIZE
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -29,6 +34,11 @@ from repro.obs.runtime import Observability
 from repro.soc.bus import Bus, BusDirection, BusSnapshot, TransactionKind
 from repro.soc.memory import Memory
 from repro.soc.mmio import MMIORegion
+
+_CPU_TO_MEM = BusDirection.CPU_TO_MEM
+_MEM_TO_CPU = BusDirection.MEM_TO_CPU
+_ADDRESS_MASK = (1 << ADDR_BITS) - 1
+_DATA_MASK = (1 << DATA_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,10 @@ class CpuMemorySystem(BusPort):
         self.cpu = FastCpu(self) if self.core == "fast" else Cpu(self)
         self.cycle = 0
         self._pending_address = 0
+        # Native tallies of resume()'s whole-instruction load runs; like
+        # the bus counters they only grow, so callers take deltas.
+        self.load_runs = 0
+        self.load_run_instructions = 0
 
     # -- BusPort implementation ------------------------------------------
 
@@ -255,9 +269,13 @@ class CpuMemorySystem(BusPort):
 
         With ``prove_hang_from`` set, the run also watches for a
         repeated full system state once the clock reaches that cycle
-        and stops there with ``hang_proven`` set (see :meth:`_prove`).
+        and stops there with ``hang_proven`` set (see :meth:`_replay`).
         A proven run never halts, so its outcome equals the one the
         full budget would have reached; only ``cycles`` is smaller.
+        Such a run also executes runs of direct loads a whole
+        instruction at a time where it can (see :meth:`_load_run`),
+        ending in the state per-cycle ticks reach; the native counters
+        :attr:`load_runs` and :attr:`load_run_instructions` count them.
         Systems with MMIO regions refuse, as :meth:`snapshot` does.
         """
         return self._drive(
@@ -278,17 +296,40 @@ class CpuMemorySystem(BusPort):
             instructions=cpu.instruction_count,
         )
 
-    def _prove(self, max_cycles: int, tick: Callable[[], None]) -> RunResult:
-        """:meth:`_clock` that also stops at a provably endless loop.
+    def _advance(
+        self,
+        max_cycles: int,
+        tick: Callable[[], None],
+        prove_hang_from: Optional[int],
+        load_runs: bool,
+    ) -> RunResult:
+        """Clock plainly, or (if asked to prove) through :meth:`_replay`."""
+        if prove_hang_from is None:
+            return self._clock(max_cycles, tick)
+        return self._replay(max_cycles, tick, prove_hang_from, load_runs)
 
-        Brent's cycle finding over the states at instruction boundaries:
-        one saved :meth:`state_key` and memory copy, re-saved whenever
-        the number of boundaries since the last save reaches the next
-        power of two.  The system is deterministic and a defect acts
-        only through the bus corruption hook, a pure function of each
-        transition, so meeting the saved state again means the run
-        loops forever.  The memory image is compared only when the
-        register-level keys already match.
+    def _replay(
+        self,
+        max_cycles: int,
+        tick: Callable[[], None],
+        prove_from: int,
+        load_runs: bool,
+    ) -> RunResult:
+        """:meth:`_clock` with whole-instruction load runs and a hang proof.
+
+        At each instruction boundary the replay first executes any run
+        of direct loads whole (:meth:`_load_run`), then, once the clock
+        has reached ``prove_from``, checks the resulting boundary state.
+        The check is Brent's cycle finding: one saved :meth:`state_key`
+        and memory copy, re-saved whenever the number of checks since
+        the last save reaches the next power of two.  The system is
+        deterministic and a defect acts only through the bus corruption
+        hook, a pure function of each transition, so meeting the saved
+        state again means the run loops forever.  The memory image is
+        compared only when the register-level keys already match.
+        Checked states follow each other by one fixed function (a
+        per-cycle instruction, then a load run if one starts there), so
+        a run that cycles is found.
         """
         if self.mmio_regions:
             raise ValueError(
@@ -297,7 +338,9 @@ class CpuMemorySystem(BusPort):
             )
         cpu = self.cpu
         memory = self.memory
+        cells = memory._cells
         state_key = self.state_key
+        run = self._load_run if load_runs and self._loads_native() else None
         cycle = self.cycle
         count = cpu.instruction_count
         saved_key = None
@@ -310,9 +353,18 @@ class CpuMemorySystem(BusPort):
             tick()
             if cpu.instruction_count == count:
                 continue
-            count = cpu.instruction_count
             if cpu.halted:
                 break
+            if (
+                run is not None
+                and cells[cpu.pc] < DIRECT_LOAD_END
+                and max_cycles - cycle >= DIRECT_LOAD_CYCLES
+                and run(max_cycles - cycle)
+            ):
+                cycle = self.cycle
+            count = cpu.instruction_count
+            if cycle < prove_from:
+                continue
             key = state_key()
             if key == saved_key and memory.equals(saved_memory):
                 return RunResult(
@@ -325,19 +377,114 @@ class CpuMemorySystem(BusPort):
                 saved_memory = memory.snapshot()
                 power *= 2
                 steps = 0
-        return RunResult(halted=cpu.halted, cycles=cycle, instructions=count)
+        return RunResult(
+            halted=cpu.halted, cycles=cycle, instructions=cpu.instruction_count
+        )
 
-    def _advance(
-        self,
-        max_cycles: int,
-        tick: Callable[[], None],
-        prove_hang_from: Optional[int],
-    ) -> RunResult:
-        """Clock plainly, then (if asked) through :meth:`_prove`."""
-        if prove_hang_from is None:
-            return self._clock(max_cycles, tick)
-        self._clock(min(prove_hang_from, max_cycles), tick)
-        return self._prove(max_cycles, tick)
+    def _loads_native(self) -> bool:
+        """True when :meth:`_load_run` may stand in for per-cycle ticks.
+
+        It needs the fast core, unobserved buses (observers must see
+        every transaction) and the native geometry its address and data
+        masks assume: 12-bit addresses over a 4K memory, 8-bit data.
+        """
+        address_bus, data_bus = self.address_bus, self.data_bus
+        return (
+            isinstance(self.cpu, FastCpu)
+            and not address_bus._observers
+            and not data_bus._observers
+            and address_bus.width == ADDR_BITS
+            and data_bus.width == DATA_BITS
+            and self.memory.size == MEMORY_SIZE
+        )
+
+    def _load_run(self, budget: int) -> int:
+        """Execute the direct loads starting at this boundary whole.
+
+        Each load (``LDA p:xx``, first byte below ``DIRECT_LOAD_END``)
+        is computed as one step instead of eight ticks: the same six
+        transactions in the same order, each through the installed
+        corruption hooks, then one bulk commit of the CPU, both buses
+        and the clock.  An LDA writes nothing, so the loads only read
+        memory.  A fetch that receives any other first byte ends the
+        run before that instruction; the per-cycle path then redoes
+        that fetch, asking the pure hook the same question again.  The
+        run also stops at a first byte that is not a direct load in
+        memory, and commits only whole loads within ``budget`` cycles.
+        Returns the number of loads committed.
+        """
+        cpu = self.cpu
+        cells = self.memory._cells
+        address_bus, data_bus = self.address_bus, self.data_bus
+        address_hook = address_bus._corruption_hook
+        data_hook = data_bus._corruption_hook
+        address = address_bus.value  # the words the buses hold
+        data = data_bus.value
+        bad_addresses: List[Tuple[int, int, int]] = []
+        bad_data: List[Tuple[int, int, int]] = []
+        pc = cpu.pc
+        limit = budget // DIRECT_LOAD_CYCLES
+        count = 0
+        start = first = second = effective = operand = received = 0
+        while count < limit:
+            # FETCH1: the first byte.
+            at = pc
+            if address_hook is not None:
+                at = address_hook(address, pc, _CPU_TO_MEM) & _ADDRESS_MASK
+            byte = cells[at]
+            fetched = byte
+            if data_hook is not None:
+                fetched = data_hook(data, byte, _MEM_TO_CPU) & _DATA_MASK
+            if fetched >= DIRECT_LOAD_END:
+                break
+            if at != pc:
+                bad_addresses.append((address, pc, at))
+            if fetched != byte:
+                bad_data.append((data, byte, fetched))
+            start, first = pc, fetched
+            # FETCH2: the operand's low address byte.
+            pc = (start + 1) & _ADDRESS_MASK
+            at = pc
+            if address_hook is not None:
+                at = address_hook(start, pc, _CPU_TO_MEM) & _ADDRESS_MASK
+            data = cells[at]
+            second = data
+            if data_hook is not None:
+                second = data_hook(byte, data, _MEM_TO_CPU) & _DATA_MASK
+            if at != pc:
+                bad_addresses.append((start, pc, at))
+            if second != data:
+                bad_data.append((byte, data, second))
+            # OPERAND: the load itself.
+            effective = (first << 8) | second
+            received = effective
+            if address_hook is not None:
+                received = (
+                    address_hook(pc, effective, _CPU_TO_MEM) & _ADDRESS_MASK
+                )
+            if received != effective:
+                bad_addresses.append((pc, effective, received))
+            byte = data
+            data = cells[received]
+            operand = data
+            if data_hook is not None:
+                operand = data_hook(byte, data, _MEM_TO_CPU) & _DATA_MASK
+            if operand != data:
+                bad_data.append((byte, data, operand))
+            address = effective
+            pc = (pc + 1) & _ADDRESS_MASK
+            count += 1
+            if cells[pc] >= DIRECT_LOAD_END:
+                break
+        if count:
+            cpu.commit_loads(count, pc, start, first, second, effective, operand)
+            address_bus.commit_loads(count, address, bad_addresses)
+            data_bus.commit_loads(count, data, bad_data)
+            self._pending_address = received
+            self.cycle += DIRECT_LOAD_CYCLES * count
+            self.load_runs += 1
+            self.load_run_instructions += count
+        return count
 
     def _drive(
         self,
@@ -354,7 +501,7 @@ class CpuMemorySystem(BusPort):
         """
         cpu = self.cpu
         if obs is None:
-            return self._advance(max_cycles, cpu.tick, prove_hang_from)
+            return self._advance(max_cycles, cpu.tick, prove_hang_from, True)
         cycles_before = self.cycle
         instructions_before = cpu.instruction_count
         address_bus, data_bus = self.address_bus, self.data_bus
@@ -362,8 +509,11 @@ class CpuMemorySystem(BusPort):
         occupancy: dict = {}
         tick = cpu.tick
         if obs.full_detail:
+            # Per-cycle only: occupancy counts every control state.
             tick = functools.partial(cpu.tick_counted, occupancy)
-        result = self._advance(max_cycles, tick, prove_hang_from)
+        result = self._advance(
+            max_cycles, tick, prove_hang_from, not obs.full_detail
+        )
         registry = obs.registry
         tally = registry.bound(_RunTally)
         registry.counter(run_counter).inc()

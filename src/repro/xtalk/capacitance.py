@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
@@ -29,6 +30,8 @@ from repro.xtalk.geometry import BusGeometry
 C_AREA_COUPLING = 0.08
 #: Ground (area + fringe) capacitance per um of wire length, fF/um.
 C_GROUND_PER_UM = 0.04
+
+_ZERO = 0.0
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,12 @@ class CapacitanceSet:
                     raise ValueError("perturbation factors must be symmetric")
                 if factor < 0:
                     raise ValueError("perturbation factors must be non-negative")
-                row.append(self.coupling[i][j] * factor)
+                product = self.coupling[i][j] * factor
+                if product == 0.0 and math.copysign(1.0, product) > 0.0:
+                    # Most pairs are uncoupled: share one +0.0 object
+                    # instead of keeping a fresh float per library entry.
+                    product = _ZERO
+                row.append(product)
             new_rows.append(tuple(row))
         return CapacitanceSet(coupling=tuple(new_rows), ground=self.ground)
 

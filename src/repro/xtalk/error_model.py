@@ -37,7 +37,11 @@ from repro.xtalk.capacitance import CapacitanceSet
 from repro.xtalk.kernel import TransitionKernel, WireError
 from repro.xtalk.params import ElectricalParams
 
-__all__ = ["CrosstalkErrorModel", "WireError"]
+__all__ = ["MODEL_STATS", "CrosstalkErrorModel", "WireError"]
+
+#: The error-model tallies, in :meth:`CrosstalkErrorModel.stats` order:
+#: hook calls, corrupted words, glitched wires, delayed wires.
+MODEL_STATS = ("invocations", "corruptions", "glitch_errors", "delay_errors")
 
 
 class CrosstalkErrorModel:
@@ -110,12 +114,12 @@ class CrosstalkErrorModel:
 
     def stats(self) -> Dict[str, int]:
         """The native tallies, keyed by metric suffix."""
-        return {
-            "invocations": self.invocations,
-            "corruptions": self.corruptions,
-            "glitch_errors": self.glitch_errors,
-            "delay_errors": self.delay_errors,
-        }
+        return dict(zip(MODEL_STATS, (
+            self.invocations,
+            self.corruptions,
+            self.glitch_errors,
+            self.delay_errors,
+        )))
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,23 +200,29 @@ class KeySpace:
         return np.stack(columns, axis=-1)
 
     def agreement_masks(
-        self,
-        decisions: Sequence[Tuple[Tuple[int, int, BusDirection], int]],
+        self, recorded: Sequence[Mapping[int, int]]
     ) -> Tuple[int, int]:
         """``(must, seen)`` key masks of recorded decisions.
 
-        ``decisions`` are ``((previous, driven, direction), received)``
-        entries.  A compiled defect reproduces every one of them iff
-        ``defect.mask & seen == must``: the keys of flipped wires must
-        corrupt, every other key the transitions touch must not.
+        ``recorded[k]`` maps each decided transition of direction
+        ``DIRECTIONS[k]``, keyed ``previous << width | driven``, to the
+        received word.  A compiled defect reproduces every one of them
+        iff ``defect.mask & seen == must``: the keys of flipped wires
+        must corrupt, every other key the transitions touch must not.
         """
-        previous = np.array([t[0] for t, _ in decisions], dtype=np.int64)
-        driven = np.array([t[1] for t, _ in decisions], dtype=np.int64)
-        direction_index = np.array(
-            [DIRECTIONS.index(t[2]) for t, _ in decisions], dtype=np.int64
+        transitions = np.array(
+            [t for decided in recorded for t in decided], dtype=np.int64
         )
-        received = np.array([r for _, r in decisions], dtype=np.int64)
-        keys = self.keys(previous, driven, direction_index)
+        received = np.array(
+            [r for decided in recorded for r in decided.values()],
+            dtype=np.int64,
+        )
+        direction_index = np.repeat(
+            np.arange(len(recorded), dtype=np.int64),
+            [len(decided) for decided in recorded],
+        )
+        driven = transitions & ((1 << self.width) - 1)
+        keys = self.keys(transitions >> self.width, driven, direction_index)
         flipped = (
             ((received ^ driven)[:, None] >> np.arange(self.width)) & 1
         ).astype(bool)
@@ -226,11 +232,15 @@ class KeySpace:
         seen[keys.ravel()] = True
         return _to_mask(must), _to_mask(seen)
 
-    def lookup_tables(self, corrupting: np.ndarray):
+    def lookup_tables(
+        self, corrupting: np.ndarray, interned: Dict[bytes, bytes]
+    ):
         """Per-direction replay windows ``(shift, mask, bits, lo, table)``.
 
         ``table`` (bytes) maps a window's previous bits plus its driven
         bits shifted up by ``bits`` to the flip mask of wires ``lo..``.
+        Equal tables are shared through ``interned``: a defect perturbs
+        a few wires, so most of its windows equal other defects'.
         """
         if self._gathers is None:
             self._gathers = [
@@ -245,9 +255,10 @@ class KeySpace:
                 table = (corrupting[gather] * weights).sum(
                     axis=0, dtype=np.uint8
                 )
+                raw = table.tobytes()
                 per_direction.append(
                     (start, (1 << (stop - start)) - 1, stop - start, lo,
-                     table.tobytes())
+                     interned.setdefault(raw, raw))
                 )
             tables.append(tuple(per_direction))
         return tables
@@ -283,23 +294,70 @@ def key_space(neighbours: Tuple[Tuple[int, ...], ...]) -> KeySpace:
 
 
 class CompiledDefect:
-    """One capacitance set's decision: its corrupting keys and limits."""
+    """One capacitance set's decision: its corrupting keys and limits.
 
-    __slots__ = ("space", "corrupting", "mask", "glitch", "slack", "_tables")
+    ``interned`` is shared by the sets compiled in one batch (one
+    library): their replay tables are kept once per distinct content.
+    """
 
-    def __init__(self, space, corrupting, mask, glitch, slack):
+    __slots__ = (
+        "space", "corrupting", "mask", "glitch", "slack", "_interned",
+        "_tables",
+    )
+
+    def __init__(self, space, corrupting, mask, glitch, slack, interned):
         self.space: KeySpace = space
         self.corrupting: np.ndarray = corrupting  # [key_count] bool
         self.mask: int = mask  # the same set as an int bitmask
         self.glitch: np.ndarray = glitch  # [n] glitch thresholds
         self.slack: np.ndarray = slack  # [2, n] delay slacks
+        self._interned: Dict[bytes, bytes] = interned
         self._tables = None
 
     def lookup_tables(self):
         """The replay hook's lookup tables, built on first use."""
         if self._tables is None:
-            self._tables = self.space.lookup_tables(self.corrupting)
+            self._tables = self.space.lookup_tables(
+                self.corrupting, self._interned
+            )
         return self._tables
+
+    def recording_hook(
+        self, recorded: Tuple[Dict[int, int], ...]
+    ) -> Callable[[int, int, BusDirection], int]:
+        """A bus corruption hook that decides and records each decision.
+
+        It decides as :meth:`TransitionKernel.decide` does, in one frame
+        over :meth:`lookup_tables`.  Every transition lands in
+        ``recorded[k]`` for direction ``DIRECTIONS[k]``, keyed
+        ``previous << width | driven`` — the form
+        :meth:`KeySpace.agreement_masks` reads.  What it returns is a
+        pure function of the transition, so deciding one twice records
+        the same word twice.
+        """
+        cpu_windows, mem_windows = self.lookup_tables()
+        cpu_recorded, mem_recorded = recorded
+        width = self.space.width
+        cpu_to_mem = DIRECTIONS[0]
+
+        def hook(previous: int, driven: int, direction: BusDirection) -> int:
+            if previous == driven:  # no transition corrupts no wire
+                return driven
+            if direction is cpu_to_mem:
+                windows, decided = cpu_windows, cpu_recorded
+            else:
+                windows, decided = mem_windows, mem_recorded
+            flips = 0
+            for shift, mask, bits, lo, table in windows:
+                flips |= table[
+                    ((previous >> shift) & mask)
+                    | (((driven >> shift) & mask) << bits)
+                ] << lo
+            received = driven ^ flips
+            decided[previous << width | driven] = received
+            return received
+
+        return hook
 
 
 def _compile(
@@ -335,9 +393,11 @@ def _compile(
             )
             start = space.offsets[k, i]
             corrupting[:, start:start + 4 ** high] = charge > limit
+    interned: Dict[bytes, bytes] = {}
     return [
         CompiledDefect(
-            space, corrupting[d], _to_mask(corrupting[d]), glitch[d], slack[:, d]
+            space, corrupting[d], _to_mask(corrupting[d]), glitch[d],
+            slack[:, d], interned,
         )
         for d in range(len(sets))
     ]

@@ -205,9 +205,12 @@ def test_simulate_reports_proven_hangs(capsys):
     assert screened["hang_proven"] >= 1
     assert screened["hang_cycles_saved"] > 0
     assert exact["hang_proven"] == exact["hang_cycles_saved"] == 0
+    assert exact["load_runs"] == exact["load_run_instructions"] == 0
+    assert screened["load_run_instructions"] >= screened["load_runs"]
     assert main([
         "simulate", "--bus", "addr", "--defects", "50", "--no-cache",
         "--engine", "screened",
     ]) == 0
     out = capsys.readouterr().out
     assert f"hangs proven by a repeated state  {screened['hang_proven']}" in out
+    assert "instructions in those runs" in out

@@ -249,6 +249,9 @@ def test_screened_equals_exact_on_e5(builder, core):
         ).run_library(setup.library)
     assert screened == exact
     assert _counter(obs, "coverage.engine.hang_proven") >= 1
+    # Whole-instruction load runs need the fast core.
+    loads = _counter(obs, "coverage.engine.load_run_instructions")
+    assert (loads >= 1) if core == "fast" else (loads == 0)
 
 
 def test_exact_engine_never_proves(builder):
@@ -261,6 +264,7 @@ def test_exact_engine_never_proves(builder):
     assert any(outcome.timed_out for outcome in outcomes)
     assert _counter(obs, "coverage.engine.hang_proven") == 0
     assert _counter(obs, "coverage.engine.hang_cycles_saved") == 0
+    assert _counter(obs, "coverage.engine.load_runs") == 0
 
 
 @pytest.mark.parametrize("bus,width", [("addr", 12), ("data", 8)])

@@ -59,5 +59,9 @@ def test_fill_and_addresses_with():
     assert list(memory.addresses_with(1)) == [2]
 
 
+def test_fill_byte_of_a_new_memory():
+    assert Memory(8, fill=0xA5).snapshot() == bytes([0xA5] * 8)
+
+
 def test_default_size_is_4k():
     assert Memory().size == 4096

@@ -236,3 +236,43 @@ def test_coupling_beyond_the_cap_is_refused():
         TraceScreen([], params, calibration).screen(
             generate_defect_library(caps, calibration, count=2, seed=1)
         )
+
+
+def test_library_tables_are_interned_by_content(nominal):
+    """Defects of one compiled library share equal window tables, and
+    sharing changes no table."""
+    caps, params, calibration = nominal
+    library = generate_defect_library(caps, calibration, 40, seed=5)
+    compiled = compile_library(
+        [defect.caps for defect in library.defects], params, calibration
+    )
+    tables = [
+        table
+        for entry in compiled
+        for windows in entry.lookup_tables()
+        for *_, table in windows
+    ]
+    by_content = {}
+    for table in tables:
+        assert by_content.setdefault(table, table) is table
+    assert len(by_content) < len(tables)
+    for entry in compiled[:5]:
+        fresh = entry.space.lookup_tables(entry.corrupting, {})
+        assert fresh == entry.lookup_tables()
+
+
+def test_perturbed_zero_couplings_share_one_object(nominal):
+    caps, _, _ = nominal
+    n = caps.wire_count
+    first = caps.perturbed([[1.5] * n for _ in range(n)])
+    second = caps.perturbed([[2.5] * n for _ in range(n)])
+    assert first.coupling[0][WIDTH - 1] is second.coupling[0][WIDTH - 1]
+    # The shared zero keeps value, sign and repr of the product.
+    factors = [[1.0] * n for _ in range(n)]
+    factors[0][WIDTH - 1] = factors[WIDTH - 1][0] = -0.0
+    signed = caps.perturbed(factors)
+    for row, nominal_row, factor_row in zip(
+        signed.coupling, caps.coupling, factors
+    ):
+        for value, base, factor in zip(row, nominal_row, factor_row):
+            assert repr(value) == repr(base * factor)

@@ -11,7 +11,7 @@ from repro.xtalk.defects import Defect, generate_defect_library
 from repro.xtalk.error_model import CrosstalkErrorModel
 from repro.xtalk.geometry import BusGeometry
 from repro.xtalk.params import ElectricalParams
-from repro.xtalk.kernel import TransitionKernel, compile_defect
+from repro.xtalk.kernel import DIRECTIONS, TransitionKernel, compile_defect
 from repro.xtalk.screen import TraceScreen
 
 WIDTH = 8
@@ -130,6 +130,16 @@ def recorded_decisions(trace, defect, params, calibration):
     return tuple(decisions.items())
 
 
+def per_direction(decisions, width):
+    """The decisions as the replay hook records them, one map per direction."""
+    recorded = tuple({} for _ in DIRECTIONS)
+    for (previous, driven, direction), received in decisions:
+        recorded[DIRECTIONS.index(direction)][previous << width | driven] = (
+            received
+        )
+    return recorded
+
+
 def test_key_mask_agreement_matches_decide(setup, trace):
     """``mask & seen == must`` iff ``decide`` reproduces every recorded
     decision — the replay-dedup agreement test, for every pair of
@@ -142,7 +152,9 @@ def test_key_mask_agreement_matches_decide(setup, trace):
     for recorder, entry in zip(defects, compiled):
         decisions = recorded_decisions(trace, recorder, params, calibration)
         assert decisions, "trace must produce recordable transitions"
-        must, seen = entry.space.agreement_masks(decisions)
+        must, seen = entry.space.agreement_masks(
+            per_direction(decisions, entry.space.width)
+        )
         for candidate, kernel in zip(compiled, kernels):
             assert candidate.space is entry.space
             reproduces = all(
